@@ -22,8 +22,8 @@ graphs = [
 print(f"{'graph':>24}  {'per(A)':>10}  {'sum 2^c(F)':>10}  {'f(G)':>7}  {'h(G)':>7}")
 for name, g in graphs:
     per = nh.permanent_exact(nh.adjacency_matrix_of(g))
-    weighted = nh.weighted_cycle_cover_sum(g)
     hist = nh.factor_histogram(g)
+    weighted = hist.weighted_total
     h = nh.hamilton_count_exact(g)
     assert per == weighted
     print(f"{name:>24}  {per:>10}  {weighted:>10}  {hist.total:>7}  {h:>7}")

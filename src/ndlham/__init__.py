@@ -26,7 +26,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .spectral import NdlCertificate, certify, jacobi_eigenvalues, spectrum
+from .spectral import NdlCertificate, certify, spectrum
 from .mixing import (
     MixingReport,
     edge_count,
@@ -55,9 +55,7 @@ from .factors import (
     hamilton_count_exact,
     perfect_matching_count,
     phi,
-    two_factor_total,
     two_factors_near_hamilton,
-    weighted_cycle_cover_sum,
 )
 from .hamiltonize import RotationTrace, posa_close, replay, two_factor_to_hamilton
 from .experiments import (

@@ -39,7 +39,7 @@ def effective_cap(default):
     """Size cap for an exponential operation.
 
     The NDL_SIZE_CAP environment variable may lower (never raise) the
-    built-in cap.
+    built-in cap; a value that is not an integer raises InvalidParameters.
     """
     env = os.environ.get("NDL_SIZE_CAP")
     if env is None:
@@ -47,7 +47,7 @@ def effective_cap(default):
     try:
         return min(default, int(env))
     except ValueError:
-        return default
+        raise InvalidParameters(f"NDL_SIZE_CAP must be an integer, got {env!r}") from None
 
 
 def check_cap(n, default, what):

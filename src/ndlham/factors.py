@@ -3,14 +3,19 @@
 A 2-factor here follows the permutation-cycle-cover reading: the vertex set
 is partitioned into components, each a single edge or a graph cycle of
 length >= 3.  Every component of length >= 3 contributes a factor of two in
-the permanent expansion (its two orientations), which is what makes
-``weighted_cycle_cover_sum`` agree with the exact permanent.
+the permanent expansion (its two orientations), which is what makes the
+``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
+One backtracking enumerator serves both the 2-factor list and the
+histogram; Hamilton cycles are counted by the Held-Karp subset DP.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameters, check_cap
+from .graph import _bits
 
 ENUM_CAP = 16
 HAMILTON_CAP = 24
@@ -103,7 +108,7 @@ def _iter_covers(g, visit):
         v = (free & -free).bit_length() - 1
         avail = free ^ (1 << v)
         # edge components {v, u}
-        for u in _bit_list(rows[v] & avail):
+        for u in _bits(rows[v] & avail):
             comps.append((v, u))
             descend(avail ^ (1 << u))
             comps.pop()
@@ -112,7 +117,7 @@ def _iter_covers(g, visit):
         path = [v]
 
         def extend(cur, used):
-            for w in _bit_list(rows[cur] & avail & ~used):
+            for w in _bits(rows[cur] & avail & ~used):
                 path.append(w)
                 if len(path) >= 3 and rows[w] >> v & 1 and path[1] < path[-1]:
                     comps.append(tuple(path))
@@ -124,15 +129,6 @@ def _iter_covers(g, visit):
         extend(v, 1 << v)
 
     descend(full)
-
-
-def _bit_list(x):
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def enumerate_two_factors(g):
@@ -181,27 +177,6 @@ def factor_histogram(g):
     )
 
 
-def weighted_cycle_cover_sum(g):
-    """Sum over 2-factors F of 2^c(F); equals per(A(G)) exactly."""
-    check_cap(g.n, ENUM_CAP, "weighted_cycle_cover_sum")
-    acc = [0]
-
-    def visit(comps):
-        c = sum(1 for comp in comps if len(comp) >= 3)
-        acc[0] += 1 << c
-
-    _iter_covers(g, visit)
-    return acc[0]
-
-
-def two_factor_total(g):
-    """f(G): number of 2-factors, counting only."""
-    check_cap(g.n, ENUM_CAP, "two_factor_total")
-    acc = [0]
-    _iter_covers(g, lambda comps: acc.__setitem__(0, acc[0] + 1))
-    return acc[0]
-
-
 # ---------------------------------------------------------------------------
 # Hamilton cycles
 
@@ -224,53 +199,42 @@ def hamilton_count_exact(g):
     log_bound = min(
         math.lgamma(n), (n - 1) * math.log(max(2, max_deg - 1)) + math.log(n)
     )
-    if log_bound < 62 * math.log(2):
-        return _hamilton_dp_int64(g)
-    return _hamilton_dp_bigint(g)
+    dtype = np.int64 if log_bound < 62 * math.log(2) else object
+    return _hamilton_dp(g, dtype)
 
 
-def _hamilton_dp_bigint(g):
+def _hamilton_dp(g, dtype):
+    """Held-Karp DP over popcount layers of the subsets of 1..n-1.
+
+    Bit u - 1 of a mask k stands for vertex u; ``dp[u - 1, k]`` counts the
+    paths that start at 0, visit exactly 0 and the vertices of k, and end
+    at u.  Layer c reads only layer c - 1, so each (layer, endpoint,
+    neighbor) triple is one vectorised gather.
+    """
     n = g.n
     rows = g.rows
-    full = (1 << n) - 1
-    dp = {}
-    for u in _bit_list(rows[0] & ~1):
-        dp[(1 | (1 << u), u)] = 1
-    # process states in order of increasing mask
-    for mask in range(1, 1 << n, 2):
-        for v in _bit_list(mask & ~1):
-            c = dp.get((mask, v))
-            if not c:
+    size = 1 << (n - 1)
+    popcount = np.zeros(size, dtype=np.int8)
+    for i in range(n - 1):
+        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    dp = np.zeros((n - 1, size), dtype=dtype)
+    for u in _bits(rows[0]):
+        dp[u - 1, 1 << (u - 1)] = 1
+    # rows of dp that may precede u on a path: its neighbors other than 0
+    preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
+    for c in range(2, n):
+        layer = np.flatnonzero(popcount == c).astype(np.int32)
+        for u in range(1, n):
+            if not preds[u]:
                 continue
-            for u in _bit_list(rows[v] & ~mask):
-                key = (mask | (1 << u), u)
-                dp[key] = dp.get(key, 0) + c
-    total = sum(dp.get((full, v), 0) for v in _bit_list(rows[0]))
-    return total // 2
-
-
-def _hamilton_dp_int64(g):
-    import numpy as np
-
-    n = g.n
-    rows = g.rows
-    # index masks containing vertex 0 as (mask - 1) // 2
-    dp = np.zeros((1 << (n - 1), n), dtype=np.int64)
-    for u in _bit_list(rows[0] & ~1):
-        dp[(1 << u) >> 1, u] = 1
-    nbrs = [_bit_list(rows[v]) for v in range(n)]
-    for k in range(1 << (n - 1)):
-        row = dp[k]
-        if not row.any():
-            continue
-        mask = 2 * k + 1
-        for v in np.nonzero(row)[0]:
-            c = int(row[v])
-            for u in nbrs[v]:
-                if not mask >> u & 1:
-                    dp[k + (1 << (u - 1)), u] += c
-    full = (1 << (n - 1)) - 1
-    total = sum(int(dp[full, v]) for v in _bit_list(rows[0]))
+            bit = 1 << (u - 1)
+            sel = layer[(layer & bit) != 0]
+            prev = sel ^ bit
+            acc = dp[preds[u][0]][prev]
+            for v in preds[u][1:]:
+                acc += dp[v][prev]
+            dp[u - 1][sel] = acc
+    total = sum(int(dp[v - 1, size - 1]) for v in _bits(rows[0]))
     return total // 2
 
 
@@ -301,7 +265,7 @@ def perfect_matching_count(g):
         v = (free & -free).bit_length() - 1
         rest = free ^ (1 << v)
         total = 0
-        for u in _bit_list(rows[v] & rest):
+        for u in _bits(rows[v] & rest):
             total += count(rest ^ (1 << u))
         memo[free] = total
         return total
@@ -315,15 +279,7 @@ def perfect_matching_count(g):
 
 def phi(g, k):
     """Maximum 2-factor count over all induced k-vertex subgraphs."""
-    from itertools import combinations
-
-    if not 2 <= k <= g.n:
-        raise InvalidParameters("phi: 2 <= k <= n required")
-    check_cap(g.n, PHI_CAP, "phi")
-    best = 0
-    for subset in combinations(range(g.n), k):
-        best = max(best, two_factor_total(g.induced(subset)))
-    return best
+    return phi_argmax(g, k)[0]
 
 
 def phi_argmax(g, k):
@@ -331,11 +287,11 @@ def phi_argmax(g, k):
     from itertools import combinations
 
     if not 2 <= k <= g.n:
-        raise InvalidParameters("phi_argmax: 2 <= k <= n required")
-    check_cap(g.n, PHI_CAP, "phi_argmax")
+        raise InvalidParameters("phi: 2 <= k <= n required")
+    check_cap(g.n, PHI_CAP, "phi")
     best, best_set = -1, None
     for subset in combinations(range(g.n), k):
-        val = two_factor_total(g.induced(subset))
+        val = factor_histogram(g.induced(subset)).total
         if val > best:
             best, best_set = val, subset
     return best, best_set

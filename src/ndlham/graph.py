@@ -53,7 +53,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v):
-        return list(_bits(self.rows[v]))
+        return _bits(self.rows[v])
 
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v, lexicographic order."""
@@ -90,10 +90,13 @@ class Graph:
 
 
 def _bits(x):
+    """Indices of the set bits of x, ascending."""
+    out = []
     while x:
         low = x & -x
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         x ^= low
+    return out
 
 
 def from_edges(n, edges):

@@ -140,11 +140,6 @@ def vdw_lower(n, d):
     return LogBound(value=value, kind="lower", source="vdw")
 
 
-def de_power_lower(n, d):
-    """The weaker (d/e)^n form of the lower bound."""
-    return LogBound(value=n * (math.log(d) - 1.0), kind="lower", source="vdw")
-
-
 def regular_upper(n, d):
     """(d!)^(n/d): permanent (hence 2-factor and Hamilton-cycle) upper bound
     for any d-regular graph."""

@@ -1,8 +1,7 @@
 """Adjacency spectra and (n,d,lambda) certification.
 
-The eigensolver is a cyclic Jacobi iteration on the dense symmetric
-adjacency matrix: simple, robust, and easily accurate to 1e-9 at the
-matrix sizes this package targets.
+Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
+on the dense adjacency matrix.
 """
 
 import math
@@ -12,45 +11,13 @@ import numpy as np
 
 from .errors import InvalidParameters, NotRegular
 
-JACOBI_TOL = 1e-12  # off-diagonal Frobenius-norm threshold
-JACOBI_MAX_SWEEPS = 100
 CONNECT_TOL = 1e-8
-
-
-def jacobi_eigenvalues(a):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise InvalidParameters("jacobi_eigenvalues: symmetric square matrix required")
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off < JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                # classical 2x2 symmetric Schur rotation
-                tau = float(a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-    return np.diag(a).copy()
 
 
 def spectrum(g):
     """All adjacency eigenvalues of g, sorted descending."""
-    vals = jacobi_eigenvalues(g.adjacency_matrix())
-    return sorted(vals.tolist(), reverse=True)
+    vals = np.linalg.eigvalsh(g.adjacency_matrix())
+    return vals[::-1].tolist()
 
 
 @dataclass(frozen=True)

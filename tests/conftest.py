@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -95,3 +97,39 @@ def brute_two_factors(g):
             continue
         out.add(frozenset(tuple(sorted((i, perm[i]))) for i in range(n)))
     return out
+
+
+def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
+    descending; raises if the off-diagonal Frobenius norm is still >= tol
+    after max_sweeps sweeps."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
+        raise ValueError("jacobi_eigenvalues: symmetric square matrix required")
+    sweeps = 0
+    # summed directly: total minus diagonal squares cancels to ~1e-7 noise
+    while (off := np.linalg.norm(a - np.diag(np.diag(a)))) >= tol:
+        if sweeps == max_sweeps:
+            raise RuntimeError(
+                f"jacobi_eigenvalues: off-diagonal norm {off:.3g} after {sweeps} sweeps"
+            )
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-300:
+                    continue
+                # classical 2x2 symmetric Schur rotation
+                tau = float(a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                a[p, q] = a[q, p] = 0.0
+    return np.sort(np.diag(a))[::-1]

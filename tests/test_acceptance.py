@@ -27,7 +27,7 @@ def test_criterion_1_permanent_cycle_cover_identity():
     for name, g in CORPUS:
         if g.n > 16:
             continue
-        wcc = nh.weighted_cycle_cover_sum(g)
+        wcc = nh.factor_histogram(g).weighted_total
         per = nh.permanent_exact(nh.adjacency_matrix_of(g))
         assert wcc == per, f"{name}: {wcc} != {per}"
     elapsed = time.time() - start

@@ -137,3 +137,12 @@ def test_domain_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["certify", path])
     assert code == 2
     assert "regular" in err
+
+
+def test_bad_size_cap_exit_2(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "k4.el")
+    run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
+    monkeypatch.setenv("NDL_SIZE_CAP", "ten")
+    code, _, err = run(capsys, ["permanent", path])
+    assert code == 2
+    assert "NDL_SIZE_CAP" in err and "'ten'" in err

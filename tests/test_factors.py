@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -47,9 +48,9 @@ def test_enumeration_no_duplicates(corpus):
 
 
 def test_weighted_sum_examples():
-    assert nh.weighted_cycle_cover_sum(nh.complete(4)) == 9
-    assert nh.weighted_cycle_cover_sum(nh.cycle(5)) == 2
-    assert nh.weighted_cycle_cover_sum(nh.cycle(4)) == 4
+    assert nh.factor_histogram(nh.complete(4)).weighted_total == 9
+    assert nh.factor_histogram(nh.cycle(5)).weighted_total == 2
+    assert nh.factor_histogram(nh.cycle(4)).weighted_total == 4
 
 
 def test_histogram_examples():
@@ -64,7 +65,8 @@ def test_histogram_consistency(corpus):
             continue
         hist = nh.factor_histogram(g)
         assert hist.total == sum(hist.counts.values()), name
-        assert hist.weighted_total == nh.weighted_cycle_cover_sum(g), name
+        # Ryser's formula shares no code with the 2-factor enumerator
+        assert hist.weighted_total == nh.permanent_exact(nh.adjacency_matrix_of(g)), name
         assert hist.weighted_total >= hist.total, name
 
 
@@ -95,10 +97,11 @@ def test_hamilton_equals_single_component_count(corpus):
 
 
 def test_hamilton_bigint_path_agrees():
-    from ndlham.factors import _hamilton_dp_bigint, _hamilton_dp_int64
+    from ndlham.factors import _hamilton_dp
 
     for g in (nh.complete(7), nh.petersen(), nh.random_regular(12, 4, 5)):
-        assert _hamilton_dp_bigint(g) == _hamilton_dp_int64(g)
+        h = nh.factor_histogram(g).counts.get(1, 0)
+        assert _hamilton_dp(g, object) == _hamilton_dp(g, np.int64) == h
 
 
 def test_matching_counts():
@@ -147,14 +150,14 @@ def test_relabel_invariance():
     rng = random.Random(13)
     g = nh.random_regular(10, 3, 4)
     h = nh.hamilton_count_exact(g)
-    w = nh.weighted_cycle_cover_sum(g)
+    w = nh.factor_histogram(g).weighted_total
     m = nh.perfect_matching_count(g)
     for _ in range(3):
         perm = list(range(10))
         rng.shuffle(perm)
         gp = g.relabeled(perm)
         assert nh.hamilton_count_exact(gp) == h
-        assert nh.weighted_cycle_cover_sum(gp) == w
+        assert nh.factor_histogram(gp).weighted_total == w
         assert nh.perfect_matching_count(gp) == m
 
 
@@ -163,7 +166,7 @@ def test_caps():
     with pytest.raises(TooLarge):
         nh.enumerate_two_factors(big)
     with pytest.raises(TooLarge):
-        nh.weighted_cycle_cover_sum(big)
+        nh.factor_histogram(big)
 
 
 def test_histogram_json():

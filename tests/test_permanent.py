@@ -53,6 +53,13 @@ def test_size_cap(monkeypatch):
         nh.permanent_exact(big)
 
 
+def test_size_cap_rejects_non_integer(monkeypatch):
+    big = nh.ZeroOneMatrix(3, (0b111,) * 3)
+    monkeypatch.setenv("NDL_SIZE_CAP", "12.5")
+    with pytest.raises(InvalidParameters, match="12.5"):
+        nh.permanent_exact(big)
+
+
 def test_bregman_bound_values():
     b = nh.bregman_bound([3, 3, 3, 3])
     assert b.value == pytest.approx(4 / 3 * math.log(6), rel=1e-12)

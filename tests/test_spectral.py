@@ -6,6 +6,7 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import NotRegular
+from conftest import jacobi_eigenvalues
 
 
 def test_k4_spectrum():
@@ -43,9 +44,13 @@ def test_paley_closed_form(q):
 
 def test_jacobi_matches_lapack(corpus):
     for name, g in corpus:
-        mine = np.array(nh.spectrum(g))
-        ref = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()))[::-1]
-        assert np.allclose(mine, ref, atol=1e-9), name
+        ref = jacobi_eigenvalues(g.adjacency_matrix())
+        assert np.allclose(nh.spectrum(g), ref, atol=1e-9), name
+
+
+def test_jacobi_oracle_raises_without_convergence():
+    with pytest.raises(RuntimeError, match="after 1 sweeps"):
+        jacobi_eigenvalues(nh.petersen().adjacency_matrix(), max_sweeps=1)
 
 
 def test_trace_invariants(corpus):
