@@ -4,7 +4,7 @@ For a loop-free graph the permanent of the adjacency matrix expands as a
 sum over 2-factors F (partitions of the vertices into single edges and
 cycles of length >= 3), each weighted by 2^c(F) where c(F) counts the
 genuine cycles -- one factor of two per orientation.  Both sides are
-computed independently (Ryser's formula vs. backtracking enumeration) and
+computed independently (Glynn's formula vs. backtracking enumeration) and
 must agree to the last digit.
 """
 

@@ -206,10 +206,12 @@ def hamilton_count_exact(g):
 def _hamilton_dp(g, dtype):
     """Held-Karp DP over popcount layers of the subsets of 1..n-1.
 
-    Bit u - 1 of a mask k stands for vertex u; ``dp[u - 1, k]`` counts the
-    paths that start at 0, visit exactly 0 and the vertices of k, and end
-    at u.  Layer c reads only layer c - 1, so each (layer, endpoint,
-    neighbor) triple is one vectorised gather.
+    Bit u - 1 of a mask k stands for vertex u; the DP value at (u, k)
+    counts the paths that start at 0, visit exactly 0 and the vertices of
+    k, and end at u.  Layer c reads only layer c - 1, so only those two are
+    kept: ``cur[u - 1, pos]`` belongs to the mask ``layer[pos]``, and
+    ``rank`` maps every mask to its position within its own layer.  Each
+    (layer, endpoint, neighbor) triple is one vectorised gather.
     """
     n = g.n
     rows = g.rows
@@ -217,24 +219,30 @@ def _hamilton_dp(g, dtype):
     popcount = np.zeros(size, dtype=np.int8)
     for i in range(n - 1):
         popcount[1 << i:2 << i] = popcount[:1 << i] + 1
-    dp = np.zeros((n - 1, size), dtype=dtype)
+    # layer 1 holds the single bits 1 << (u - 1), in the order of u
+    rank = np.zeros(size, dtype=np.int32)
+    rank[1 << np.arange(n - 1)] = np.arange(n - 1)
+    prev = np.zeros((n - 1, n - 1), dtype=dtype)
     for u in _bits(rows[0]):
-        dp[u - 1, 1 << (u - 1)] = 1
-    # rows of dp that may precede u on a path: its neighbors other than 0
+        prev[u - 1, u - 1] = 1
+    # rows of the DP that may precede u on a path: its neighbors other than 0
     preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
     for c in range(2, n):
         layer = np.flatnonzero(popcount == c).astype(np.int32)
+        rank[layer] = np.arange(len(layer), dtype=np.int32)
+        cur = np.zeros((n - 1, len(layer)), dtype=dtype)
         for u in range(1, n):
             if not preds[u]:
                 continue
             bit = 1 << (u - 1)
-            sel = layer[(layer & bit) != 0]
-            prev = sel ^ bit
-            acc = dp[preds[u][0]][prev]
+            pos = np.flatnonzero(layer & bit)
+            back = rank[layer[pos] ^ bit]
+            acc = prev[preds[u][0]][back]
             for v in preds[u][1:]:
-                acc += dp[v][prev]
-            dp[u - 1][sel] = acc
-    total = sum(int(dp[v - 1, size - 1]) for v in _bits(rows[0]))
+                acc += prev[v][back]
+            cur[u - 1][pos] = acc
+        prev = cur
+    total = sum(int(prev[v - 1, 0]) for v in _bits(rows[0]))
     return total // 2
 
 

@@ -27,20 +27,26 @@ def edge_count(g, s, t):
     an edge inside the overlap is counted once per orientation.
     """
     _mask(s, g.n)  # range validation
-    tm = _mask(t, g.n)
+    return _cross_edges(g, set(s), _mask(t, g.n))
+
+
+def _cross_edges(g, s_set, t_mask):
     # sum over v in S of |N(v) ∩ T|: each cross edge once, each edge with
     # both endpoints in the overlap twice, matching e(U,U) = 2 e(U)
-    return sum((g.rows[v] & tm).bit_count() for v in set(s))
+    return sum((g.rows[v] & t_mask).bit_count() for v in s_set)
 
 
 def mixing_defect(g, cert, s, t):
     """(e(S,T), |e - (d/n)|S||T||, lambda*sqrt(|S||T|)) for one pair."""
     if not s or not t:
         raise InvalidParameters("mixing_defect: sets must be nonempty")
-    e = edge_count(g, s, t)
-    expected = cert.d / cert.n * len(set(s)) * len(set(t))
+    _mask(s, g.n)  # range validation
+    s_set, t_mask = set(s), _mask(t, g.n)
+    e = _cross_edges(g, s_set, t_mask)
+    size_s, size_t = len(s_set), t_mask.bit_count()
+    expected = cert.d / cert.n * size_s * size_t
     defect = abs(e - expected)
-    bound = cert.lam * math.sqrt(len(set(s)) * len(set(t)))
+    bound = cert.lam * math.sqrt(size_s * size_t)
     return e, defect, bound
 
 

@@ -1,12 +1,16 @@
-"""Exact 0-1 permanents (Ryser with Gray-code updates) and the log-domain
-permanent bounds used by the counting arguments."""
+"""Exact 0-1 permanents (Glynn's formula, meet in the middle over the row
+signs) and the log-domain permanent bounds used by the counting arguments."""
 
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameters, check_cap
+import numpy as np
 
-EXACT_CAP = 28  # Ryser is Theta(2^n * n); beyond this is not desk scale
+from .errors import InvalidParameters, InvariantViolation, check_cap
+
+# Glynn visits 2^(n-1) sign vectors at n products each; beyond this is not
+# desk scale
+EXACT_CAP = 28
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,15 @@ def adjacency_matrix_of(g):
 
 
 def permanent_exact(m):
-    """Exact permanent via Ryser's inclusion-exclusion.
+    """Exact permanent via Glynn's formula,
 
-    Column subsets are visited in Gray-code order so that each step updates
-    the per-row partial sums by a single column.
+        per(A) = 2^-(n-1) * sum over d in {+1,-1}^n with d_0 = +1 of
+                 (prod_i d_i) * prod_j (sum_i d_i a_ij).
+
+    Each inner sum is at most the largest column sum c in absolute value,
+    and one signed dot product in ``_glynn`` adds 2^(n//2) products, so the
+    tables are int64 when c^n * 2^(n//2) < 2^63 and arbitrary precision
+    otherwise.
     """
     n = m.n
     if n == 0:
@@ -55,30 +64,45 @@ def permanent_exact(m):
     check_cap(n, EXACT_CAP, "permanent_exact")
     if any(r == 0 for r in m.rows):
         return 0
-    cols = [[i for i in range(n) if m.entry(i, j)] for j in range(n)]
-    sums = [0] * n
+    max_col = max(sum(r >> j & 1 for r in m.rows) for j in range(n))
+    dtype = np.int64 if max_col**n << n // 2 < 1 << 63 else object
+    return _glynn(m, dtype)
+
+
+def _glynn(m, dtype):
+    """Glynn's sum, meet in the middle.
+
+    Rows 1..n-1 are split into n//2 low and (n-1)//2 high rows.  Each half
+    gets an n x 2^rows table of its share of the column sums for every sign
+    pattern of its rows, built by doubling (flipping row i subtracts 2 a_i),
+    and the sign of each pattern.  Each high pattern then takes the column
+    products for all low patterns at once and one signed dot product.
+    """
+    n = m.n
+    a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=dtype)
+
+    def table(rows, start):
+        sums = np.zeros((n, 1 << len(rows)), dtype=dtype)
+        sums[:, 0] = start
+        sign = np.ones(1 << len(rows), dtype=dtype)
+        for b, i in enumerate(rows):
+            sums[:, 1 << b:2 << b] = sums[:, :1 << b] - 2 * a[i][:, None]
+            sign[1 << b:2 << b] = -sign[:1 << b]
+        return sums, sign
+
+    split = 1 + n // 2
+    low, low_sign = table(range(1, split), a.sum(axis=0))
+    high, high_sign = table(range(split, n), 0)
     total = 0
-    prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        j = (gray ^ prev).bit_length() - 1
-        if gray >> j & 1:
-            for i in cols[j]:
-                sums[i] += 1
-        else:
-            for i in cols[j]:
-                sums[i] -= 1
-        prev = gray
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += -prod if gray.bit_count() % 2 else prod
-    # per(A) = (-1)^n * sum over nonempty column subsets
-    return total if n % 2 == 0 else -total
+    for k in range(high.shape[1]):
+        s = int(low_sign @ np.prod(low + high[:, k:k + 1], axis=0))
+        total += s if high_sign[k] > 0 else -s
+    per, rest = divmod(total, 1 << (n - 1))
+    if rest:
+        raise InvariantViolation(
+            f"permanent_exact: Glynn sum {total} is not divisible by 2^{n - 1}"
+        )
+    return per
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,38 @@ def brute_permanent(matrix_rows):
     return total
 
 
+def ryser_permanent(rows, n):
+    """Ryser's inclusion-exclusion over column subsets, visited in Gray-code
+    order so that each step updates the per-row sums by one column; rows
+    are bitsets."""
+    if n == 0:
+        return 1
+    cols = [[i for i in range(n) if rows[i] >> j & 1] for j in range(n)]
+    sums = [0] * n
+    total = 0
+    prev = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        j = (gray ^ prev).bit_length() - 1
+        if gray >> j & 1:
+            for i in cols[j]:
+                sums[i] += 1
+        else:
+            for i in cols[j]:
+                sums[i] -= 1
+        prev = gray
+        prod = 1
+        for s in sums:
+            if s == 0:
+                prod = 0
+                break
+            prod *= s
+        if prod:
+            total += -prod if gray.bit_count() % 2 else prod
+    # per(A) = (-1)^n * sum over nonempty column subsets
+    return total if n % 2 == 0 else -total
+
+
 def brute_hamilton_count(g):
     n = g.n
     if n < 3:

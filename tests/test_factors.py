@@ -65,7 +65,7 @@ def test_histogram_consistency(corpus):
             continue
         hist = nh.factor_histogram(g)
         assert hist.total == sum(hist.counts.values()), name
-        # Ryser's formula shares no code with the 2-factor enumerator
+        # Glynn's formula shares no code with the 2-factor enumerator
         assert hist.weighted_total == nh.permanent_exact(nh.adjacency_matrix_of(g)), name
         assert hist.weighted_total >= hist.total, name
 

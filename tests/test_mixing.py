@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -62,6 +63,34 @@ def test_verify_mixing_clean(corpus):
         cert = nh.certify(g)
         rep = nh.verify_mixing(g, cert, sample_count=100, seed=11)
         assert rep.violations == 0, name
+
+
+def test_verify_mixing_matches_adjacency_recount():
+    g = nh.random_regular(20, 4, 0)
+    cert = nh.certify(g)
+    rep = nh.verify_mixing(g, cert, sample_count=500, seed=3)
+    # the same pairs, drawn with the same calls, counted from the matrix
+    adj = g.adjacency_matrix()
+    rng = random.Random(3)
+    full = list(range(20))
+    pairs = [([i], [j]) for i in range(20) for j in range(20)] + [(full, full)]
+    pairs += [(list(s), list(s)) for s in combinations(full, 2)]
+    for _ in range(500):
+        ks = rng.randint(1, 20)
+        kt = rng.randint(1, 20)
+        pairs.append((rng.sample(full, ks), rng.sample(full, kt)))
+    worst, worst_pair, violations = 0.0, ([], []), 0
+    for s, t in pairs:
+        e = int(adj[np.ix_(s, t)].sum())
+        defect = abs(e - cert.d / cert.n * len(s) * len(t))
+        bound = cert.lam * math.sqrt(len(s) * len(t))
+        if defect / bound > worst:
+            worst, worst_pair = defect / bound, (s, t)
+        violations += defect > bound + nh.mixing.DEFECT_TOL
+    assert rep.pairs_checked == len(pairs)
+    assert rep.violations == violations
+    assert rep.max_normalized_defect == worst
+    assert rep.worst_pair == worst_pair
 
 
 def test_verify_mixing_negative_control():

@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import ndlham as nh
-from ndlham.errors import InvalidParameters, TooLarge
-from conftest import brute_permanent
+import ndlham.permanent
+from ndlham.errors import InvalidParameters, InvariantViolation, TooLarge
+from ndlham.permanent import _glynn
+from conftest import brute_permanent, ryser_permanent
 
 
 def test_identity_and_ones():
@@ -32,6 +35,58 @@ def test_against_brute_force_random_matrices():
             rows = tuple(rng.getrandbits(n) for _ in range(n))
             m = nh.ZeroOneMatrix(n, rows)
             assert nh.permanent_exact(m) == brute_permanent(rows), rows
+
+
+def test_glynn_matches_ryser(corpus):
+    graphs = corpus + [(f"rr(18,4,{s})", nh.random_regular(18, 4, s)) for s in (0, 1)]
+    for name, g in graphs:
+        assert nh.permanent_exact(nh.adjacency_matrix_of(g)) == ryser_permanent(
+            g.rows, g.n
+        ), name
+
+
+def test_glynn_dtype_paths_agree():
+    for g in (nh.complete(7), nh.petersen(), nh.random_regular(12, 4, 5)):
+        m = nh.adjacency_matrix_of(g)
+        assert _glynn(m, object) == _glynn(m, np.int64) == ryser_permanent(g.rows, g.n)
+
+
+def test_glynn_guard_sends_large_products_to_object(monkeypatch):
+    dtypes = []
+
+    def spy(m, dtype):
+        dtypes.append(dtype)
+        return _glynn(m, dtype)
+
+    monkeypatch.setattr(ndlham.permanent, "_glynn", spy)
+    ones = nh.ZeroOneMatrix(16, ((1 << 16) - 1,) * 16)
+    assert nh.permanent_exact(ones) == math.factorial(16)
+    # per(J - I) counts the derangements: D(k) = (k - 1) (D(k - 1) + D(k - 2))
+    derangements = [1, 0]
+    for k in range(2, 17):
+        derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
+    assert nh.permanent_exact(nh.adjacency_matrix_of(nh.complete(16))) == derangements[16]
+    assert dtypes == [object, object]
+    # column sums 8: 8^17 * 2^8 < 2^63, so int64 suffices
+    p17 = nh.paley(17)
+    assert nh.permanent_exact(nh.adjacency_matrix_of(p17)) == ryser_permanent(p17.rows, 17)
+    assert dtypes[2] is np.int64
+
+
+def test_glynn_sum_not_divisible_raises(monkeypatch):
+    real_prod = np.prod
+    calls = []
+
+    def corrupted(x, axis):
+        out = real_prod(x, axis=axis)
+        if not calls:
+            out[0] += 1
+        calls.append(axis)
+        return out
+
+    monkeypatch.setattr(np, "prod", corrupted)
+    with pytest.raises(InvariantViolation, match="not divisible"):
+        nh.permanent_exact(nh.adjacency_matrix_of(nh.petersen()))
 
 
 def test_permutation_invariance():
