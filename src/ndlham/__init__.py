@@ -41,8 +41,6 @@ from .permanent import (
     adjacency_matrix_of,
     alon_friedland_upper,
     bregman_bound,
-    bregman_bound_total,
-    equal_row_sums,
     permanent_exact,
     regular_upper,
     vdw_lower,

@@ -5,7 +5,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import factors, permanent, spectral
+from . import factors, mixing, permanent, spectral
 from .errors import InvalidParameters, NotRegular, TooLarge, check_cap
 from .graph import from_edges
 
@@ -180,9 +180,9 @@ def phi_estimate_report(g, t):
     kept = set(best_kept)
     removed = sorted(set(range(n)) - kept)
     sub = g.induced(sorted(kept))
-    e_v0 = sum(1 for u, v in g.edges() if u in removed and v in removed)
+    e_v0 = mixing.edge_count(g, removed, removed) // 2  # e(U,U) = 2 e(U)
     e_v0_bound = t * t / 2.0 * d / n + lam * t
-    e_cross = sum(1 for u, v in g.edges() if (u in kept) != (v in kept))
+    e_cross = mixing.edge_count(g, removed, kept)
     e_cross_lower = d * t - d * t * t / n - 2 * lam * t
     d1 = d * (1 - t / n) + 2 * lam * t / (n - t)
     per_a1 = permanent.permanent_exact(permanent.adjacency_matrix_of(sub))

@@ -99,6 +99,16 @@ def _bits(x):
     return out
 
 
+def _mask(vertices, n):
+    """Bitset of ``vertices``, each checked to lie in 0..n-1."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise InvalidParameters(f"vertex {v} out of range")
+        m |= 1 << v
+    return m
+
+
 def from_edges(n, edges):
     rows = [0] * n
     for u, v in edges:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentTrace, InvalidParameters
 from .factors import is_hamilton_cycle, validate_two_factor
+from .graph import _bits, _mask
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,11 @@ def merge_budget(n, d, lam, budget_constant):
     return max(2, math.ceil(budget_constant * math.log(n) / math.log(d / lam)))
 
 
-def posa_close(g, path, forbidden, budget):
+def posa_close(g, path, budget):
     """Breadth-first rotation search from ``path``.
 
     Returns (kind, new_path, rotations) where kind is one of:
-      "extendable" - an endpoint of new_path has a neighbor outside
-                     V(path) and ``forbidden``;
+      "extendable" - an endpoint of new_path has a neighbor outside V(path);
       "cycle"      - the endpoints of new_path are adjacent (length >= 3);
       "failure"    - neither is reachable within ``budget`` rotations.
 
@@ -61,32 +61,33 @@ def posa_close(g, path, forbidden, budget):
     path = tuple(path)
     if len(path) < 2 or len(set(path)) != len(path):
         raise InvalidParameters("posa_close: not a simple path")
+    inside = _mask(path, g.n)
+    rows = g.rows
     for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
+        if not rows[a] >> b & 1:
             raise InvalidParameters("posa_close: not a path in the graph")
     if budget < 1:
         raise InvalidParameters("posa_close: budget >= 1 required")
-    outside = set(range(g.n)) - set(path) - set(forbidden)
+    outside = ((1 << g.n) - 1) & ~inside
 
     def accept(p):
         a, b = p[0], p[-1]
-        if outside and (set(g.neighbors(a)) & outside or set(g.neighbors(b)) & outside):
+        if (rows[a] | rows[b]) & outside:
             return "extendable"
-        if len(p) >= 3 and g.has_edge(a, b):
+        if len(p) >= 3 and rows[a] >> b & 1:
             return "cycle"
         return None
 
-    start = _canon_path(path)
     kind = accept(path)
     if kind:
         return kind, path, []
-    seen = {start}
+    seen = {_canon_path(path)}
     queue = deque([(path, [])])
     while queue:
         cur, rots = queue.popleft()
         if len(rots) >= budget:
             continue
-        for nxt, rot in _rotations(g, cur):
+        for nxt, rot in _rotations(rows, cur, inside):
             key = _canon_path(nxt)
             if key in seen:
                 continue
@@ -103,17 +104,22 @@ def _canon_path(p):
     return p if p[0] < p[-1] else tuple(reversed(p))
 
 
-def _rotations(g, path):
-    """All single-rotation successors, smaller pivot vertices first."""
+def _rotations(rows, path, inside):
+    """All single-rotation successors, smaller pivot vertices first.
+
+    A pivot is a path vertex adjacent to the end other than the end's own
+    path neighbor; ``inside`` is the path's vertex mask.
+    """
+    last = len(path) - 1
+    pos = {v: i for i, v in enumerate(path)}
     out = []
-    for seq in (path, tuple(reversed(path))):
+    for seq, flip in ((path, False), (path[::-1], True)):
         end = seq[-1]
-        for i in sorted(range(len(seq) - 2), key=lambda i: seq[i]):
-            piv = seq[i]
-            if g.has_edge(end, piv):
-                nxt = seq[: i + 1] + tuple(reversed(seq[i + 1 :]))
-                rot = (("delete", *_e(piv, seq[i + 1])), ("insert", *_e(end, piv)))
-                out.append((tuple(nxt), rot))
+        for piv in _bits(rows[end] & inside & ~(1 << seq[-2])):
+            i = last - pos[piv] if flip else pos[piv]
+            nxt = seq[: i + 1] + seq[: i : -1]
+            rot = (("delete", *_e(piv, seq[i + 1])), ("insert", *_e(end, piv)))
+            out.append((nxt, rot))
     return out
 
 
@@ -123,7 +129,6 @@ def _e(u, v):
 
 @dataclass
 class _Engine:
-    g: object
     budget: int
     trace: list = field(default_factory=list)
     per_merge: list = field(default_factory=list)
@@ -133,19 +138,25 @@ class _Engine:
         self.trace.append((kind, *_e(u, v)))
         self.ops_this_merge += 1
 
+    def ops(self, rots):
+        for rot in rots:
+            for op in rot:
+                self.op(*op)
+
     def close_merge(self):
         self.per_merge.append(self.ops_this_merge)
         self.ops_this_merge = 0
 
-    def fail(self, reason):
+    def end(self, cycle=(), failure_reason=""):
+        """The trace so far, ending at ``cycle`` or failing for the reason."""
         return RotationTrace(
-            success=False,
-            hamilton_cycle=(),
+            success=not failure_reason,
+            hamilton_cycle=tuple(cycle),
             replacements=len(self.trace),
             per_merge_replacements=tuple(self.per_merge),
             budget=self.budget,
             trace=tuple(self.trace),
-            failure_reason=reason,
+            failure_reason=failure_reason,
         )
 
 
@@ -157,61 +168,47 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
     reported outcome, not an exception.
     """
     validate_two_factor(g, f)
-    n = g.n
-    budget = merge_budget(n, cert.d, cert.lam, budget_constant)
+    n, rows = g.n, g.rows
+    eng = _Engine(budget=merge_budget(n, cert.d, cert.lam, budget_constant))
     comps = sorted(f.components, key=min)
-    eng = _Engine(g=g, budget=budget)
-
-    if len(comps) == 1 and len(comps[0]) == n and n >= 3:
+    if len(comps) == 1 and n >= 3:  # already a Hamilton cycle
         eng.close_merge()
-        return RotationTrace(
-            success=True,
-            hamilton_cycle=tuple(comps[0]),
-            replacements=0,
-            per_merge_replacements=tuple(eng.per_merge),
-            budget=budget,
-            trace=(),
-        )
+        return eng.end(comps[0])
 
-    remaining = list(comps[1:])
-    path = _open_component(g, eng, comps[0], _union(remaining))
+    # a 2-factor partitions V, so the unabsorbed vertices are exactly the
+    # vertices off the path
+    rest = ((1 << n) - 1) & ~_mask(comps[0], n)
+    comp_of = {v: c for c in comps[1:] for v in c}
+    path = _open_at_hook(eng, rows, comps[0], rest)
     if path is None:
-        return eng.fail("initial component has no external neighbor")
+        return eng.end(failure_reason="initial component has no external neighbor")
 
-    while True:
-        rest = _union(remaining)
-        if not rest:
-            return _final_close(g, eng, path)
-        hook = _absorb_edge(g, path, rest)
+    while rest:
+        hook = _absorb_edge(rows, path, rest)
         if hook is None:
-            kind, path, rots = posa_close(
-                g, path, forbidden=(), budget=_rotation_room(eng)
-            )
+            # neither endpoint sees ``rest``: rotate until one does
+            # ("extendable") or until the endpoints are adjacent ("cycle")
+            kind, path, rots = posa_close(g, path, budget=_rotation_room(eng))
             if kind == "failure":
-                return eng.fail("no rotation reaches an absorbing or closing edge")
-            for rot in rots:
-                for op in rot:
-                    eng.op(*op)
+                return eng.end(failure_reason="no rotation reaches an absorbing or closing edge")
+            eng.ops(rots)
             if kind == "cycle":
                 # close, then reopen at a vertex with an unabsorbed neighbor
                 eng.op("insert", path[0], path[-1])
-                path = _reopen_cycle(g, eng, tuple(path), rest)
+                path = _open_at_hook(eng, rows, path, rest)
                 if path is None:
-                    return eng.fail("closed cycle has no edge to remaining components")
-            hook = _absorb_edge(g, path, rest)
-            if hook is None:
-                return eng.fail("rotation produced no usable absorbing edge")
-        path = _do_absorb(g, eng, path, remaining, hook)
+                    return eng.end(failure_reason="closed cycle has no edge to remaining components")
+            hook = _absorb_edge(rows, path, rest)
+        u, side = hook
+        if side == "head":
+            path = path[::-1]
+        comp = comp_of[u]
+        rest &= ~_mask(comp, n)
+        path = _absorb(eng, path, comp, u)
         if eng.ops_this_merge > eng.budget:
-            return eng.fail("per-merge budget exhausted")
+            return eng.end(failure_reason="per-merge budget exhausted")
         eng.close_merge()
-
-
-def _union(comps):
-    out = set()
-    for c in comps:
-        out.update(c)
-    return out
+    return _final_close(g, eng, path)
 
 
 def _rotation_room(eng):
@@ -219,22 +216,19 @@ def _rotation_room(eng):
     return max(1, room)
 
 
-def _open_component(g, eng, comp, external):
-    """Open a component into a path whose head can reach ``external``
-    (or any path if external is empty)."""
-    if len(comp) == 2:
-        return tuple(comp)
-    candidates = [v for v in sorted(comp) if set(g.neighbors(v)) - set(comp)]
-    if external:
-        with_hook = [v for v in candidates if set(g.neighbors(v)) & external]
-        candidates = with_hook or candidates
-    if not candidates:
+def _open_at_hook(eng, rows, cyc, rest):
+    """Open a cycle into a path ending at its smallest vertex with a
+    neighbor in ``rest``, or None if it has none.  A 2-cycle is its own
+    path."""
+    if len(cyc) == 2:
+        return tuple(cyc)
+    hooked = [v for v in cyc if rows[v] & rest]
+    if not hooked:
         return None
-    v = candidates[0]
-    return _open_cycle_at(g, eng, comp, v)
+    return _open_cycle_at(eng, cyc, min(hooked))
 
 
-def _open_cycle_at(g, eng, comp, v):
+def _open_cycle_at(eng, comp, v):
     """Delete one cycle edge at v, producing a path with endpoint v; of the
     two cycle neighbors the larger-labeled edge is deleted."""
     comp = list(comp)
@@ -250,67 +244,45 @@ def _open_cycle_at(g, eng, comp, v):
     return tuple(reversed(seq))  # endpoint v last; head is the far end
 
 
-def _absorb_edge(g, path, rest):
+def _absorb_edge(rows, path, rest):
     """Smallest unabsorbed vertex adjacent to an endpoint, with the side;
     ties prefer the tail endpoint."""
-    best = None
-    for side, end in (("tail", path[-1]), ("head", path[0])):
-        for u in g.neighbors(end):
-            if u in rest and (best is None or u < best[0]):
-                best = (u, side)
-    return best
+    tail, head = rows[path[-1]] & rest, rows[path[0]] & rest
+    if tail and (not head or _low(tail) <= _low(head)):
+        return _low(tail), "tail"
+    if head:
+        return _low(head), "head"
+    return None
 
 
-def _do_absorb(g, eng, path, remaining, hook):
-    u, side = hook
-    if side == "head":
-        path = tuple(reversed(path))
-    comp = next(c for c in remaining if u in c)
-    remaining.remove(comp)
+def _low(x):
+    return (x & -x).bit_length() - 1
+
+
+def _absorb(eng, path, comp, u):
+    """Append component ``comp`` to the path through the edge (tail, u)."""
     eng.op("insert", path[-1], u)
     if len(comp) == 2:
         other = comp[0] if comp[1] == u else comp[1]
         return path + (u, other)
-    tail = _open_cycle_at(g, eng, comp, u)  # path ending at u
-    return path + tuple(reversed(tail))
-
-
-def _reopen_cycle(g, eng, cyc, rest):
-    candidates = [v for v in sorted(cyc) if set(g.neighbors(v)) & rest]
-    if not candidates:
-        return None
-    return _open_cycle_at(g, eng, list(cyc), candidates[0])
+    tail = _open_cycle_at(eng, comp, u)  # path ending at u
+    return path + tail[::-1]
 
 
 def _final_close(g, eng, path):
-    n = g.n
-    if g.has_edge(path[0], path[-1]) and len(path) >= 3:
+    if len(path) >= 3 and g.has_edge(path[0], path[-1]):
         eng.op("insert", path[0], path[-1])
         eng.close_merge()
-        return _success(eng, path)
-    kind, closed, rots = posa_close(g, path, forbidden=(), budget=_rotation_room(eng))
+        return eng.end(path)
+    kind, closed, rots = posa_close(g, path, budget=_rotation_room(eng))
     if kind != "cycle":
-        return eng.fail("spanning path cannot be closed")
-    for rot in rots:
-        for op in rot:
-            eng.op(*op)
+        return eng.end(failure_reason="spanning path cannot be closed")
+    eng.ops(rots)
     eng.op("insert", closed[0], closed[-1])
     if eng.ops_this_merge > eng.budget:
-        return eng.fail("per-merge budget exhausted during closure")
+        return eng.end(failure_reason="per-merge budget exhausted during closure")
     eng.close_merge()
-    return _success(eng, closed)
-
-
-def _success(eng, cycle_path):
-    cyc = tuple(cycle_path)
-    return RotationTrace(
-        success=True,
-        hamilton_cycle=cyc,
-        replacements=len(eng.trace),
-        per_merge_replacements=tuple(eng.per_merge),
-        budget=eng.budget,
-        trace=tuple(eng.trace),
-    )
+    return eng.end(closed)
 
 
 def replay(g, f, trace):

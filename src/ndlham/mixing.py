@@ -7,17 +7,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
+from .graph import _mask
 
 DEFECT_TOL = 1e-9
-
-
-def _mask(vertices, n):
-    m = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise InvalidParameters(f"vertex {v} out of range")
-        m |= 1 << v
-    return m
 
 
 def edge_count(g, s, t):

@@ -25,23 +25,6 @@ class ZeroOneMatrix:
         if len(self.rows) != self.n or any(r & ~mask for r in self.rows):
             raise InvalidParameters("rows must be n bitsets of width n")
 
-    @property
-    def row_sums(self):
-        return [r.bit_count() for r in self.rows]
-
-    def entry(self, i, j):
-        return self.rows[i] >> j & 1
-
-    def permuted(self, row_perm, col_perm):
-        new_rows = [0] * self.n
-        for i in range(self.n):
-            r = 0
-            for j in range(self.n):
-                if self.entry(i, j):
-                    r |= 1 << col_perm[j]
-            new_rows[row_perm[i]] = r
-        return ZeroOneMatrix(self.n, tuple(new_rows))
-
 
 def adjacency_matrix_of(g):
     return ZeroOneMatrix(g.n, tuple(g.rows))
@@ -139,20 +122,6 @@ def bregman_bound(row_sums):
         return LogBound(value=-math.inf, kind="upper", source="bregman", is_zero=True)
     value = sum(_log_factorial(r) / r for r in row_sums)
     return LogBound(value=value, kind="upper", source="bregman")
-
-
-def equal_row_sums(total, n):
-    """Integers summing to ``total``, as equal as possible: total mod n rows
-    get the ceiling, the rest the floor."""
-    if n < 1 or total < 0:
-        raise InvalidParameters("equal_row_sums: n >= 1 and total >= 0 required")
-    lo, extra = divmod(total, n)
-    return [lo + 1] * extra + [lo] * (n - extra)
-
-
-def bregman_bound_total(total, n):
-    """Bregman bound knowing only the total number of ones."""
-    return bregman_bound(equal_row_sums(total, n))
 
 
 def vdw_lower(n, d):

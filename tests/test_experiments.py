@@ -91,6 +91,10 @@ def test_phi_estimate_corpus(corpus):
                 continue
             rep = nh.phi_estimate_report(g, t)
             assert all(rep["ok"].values()), (name, t, rep["ok"])
+            removed = set(rep["removed"])
+            inside = [(u, v) for u, v in g.edges() if u in removed and v in removed]
+            cross = [(u, v) for u, v in g.edges() if (u in removed) != (v in removed)]
+            assert (rep["e_v0"], rep["e_cross"]) == (len(inside), len(cross)), (name, t)
 
 
 def test_janson_gnp():

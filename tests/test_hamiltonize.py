@@ -1,3 +1,6 @@
+import collections
+import hashlib
+
 import pytest
 
 import ndlham as nh
@@ -11,13 +14,13 @@ def hamilton_factor(g):
 
 def test_posa_close_adjacent_endpoints():
     k4 = nh.complete(4)
-    kind, path, rots = nh.posa_close(k4, (0, 1, 2, 3), forbidden=(), budget=5)
+    kind, path, rots = nh.posa_close(k4, (0, 1, 2, 3), budget=5)
     assert kind == "cycle"
     assert rots == []
 
 
 def test_posa_close_extendable():
-    kind, path, rots = nh.posa_close(nh.cycle(5), (0, 1), forbidden=(), budget=5)
+    kind, path, rots = nh.posa_close(nh.cycle(5), (0, 1), budget=5)
     assert kind == "extendable"
     assert rots == []
 
@@ -28,13 +31,13 @@ def test_posa_close_petersen_spanning_path_never_closes():
     hp = (0, 1, 2, 3, 4, 9, 6, 8, 5, 7)
     for a, b in zip(hp, hp[1:]):
         assert pet.has_edge(a, b)
-    kind, _, _ = nh.posa_close(pet, hp, forbidden=(), budget=100)
+    kind, _, _ = nh.posa_close(pet, hp, budget=100)
     assert kind == "failure"
 
 
 def test_posa_close_rejects_bad_path():
     with pytest.raises(InvalidParameters):
-        nh.posa_close(nh.cycle(5), (0, 2), forbidden=(), budget=3)
+        nh.posa_close(nh.cycle(5), (0, 2), budget=3)
 
 
 def test_trivial_single_cycle():
@@ -83,6 +86,60 @@ def test_determinism():
         a = nh.two_factor_to_hamilton(g, f, cert)
         b = nh.two_factor_to_hamilton(g, f, cert)
         assert a == b
+
+
+def failure_counts(graphs, budget_constant=10.0):
+    """Outcome counts ("" for success) over every 2-factor of ``graphs``;
+    every trace must replay."""
+    counts = collections.Counter()
+    for g in graphs:
+        cert = nh.certify(g)
+        for f in nh.enumerate_two_factors(g):
+            tr = nh.two_factor_to_hamilton(g, f, cert, budget_constant)
+            nh.replay(g, f, tr)
+            counts[tr.failure_reason] += 1
+    return counts
+
+
+def test_failures_two_disjoint_k4():
+    two_k4 = nh.from_edges(
+        8, [(u, v) for b in (0, 4) for u in range(b, b + 4) for v in range(u + 1, b + 4)]
+    )
+    # the component through vertex 0 is a 4-cycle (no edge leaves it) or
+    # one of two digons, which absorbs the other and then closes
+    assert failure_counts([two_k4]) == {
+        "initial component has no external neighbor": 18,
+        "closed cycle has no edge to remaining components": 18,
+    }
+
+
+@pytest.mark.parametrize(
+    "budget_constant, want",
+    [
+        (0.01, {"": 1125, "per-merge budget exhausted": 657,
+                "per-merge budget exhausted during closure": 1061,
+                "spanning path cannot be closed": 239}),
+        (0.5, {"": 2854, "per-merge budget exhausted": 8,
+               "spanning path cannot be closed": 220}),
+    ],
+)
+def test_failures_under_small_budgets(budget_constant, want):
+    graphs = [nh.random_regular(12, 4, s) for s in range(3)]
+    assert failure_counts(graphs, budget_constant) == want
+
+
+def test_traces_pinned():
+    # any change to tie-breaking, rotation order or trace layout moves this
+    # digest; it was taken from the set-based engine the bitset one replaced
+    h = hashlib.sha256()
+    for g in (nh.random_regular(10, 4, 2), nh.random_regular(12, 6, 0)):
+        cert = nh.certify(g)
+        for f in nh.enumerate_two_factors(g):
+            tr = nh.two_factor_to_hamilton(g, f, cert)
+            h.update(repr((f.components, tr)).encode())
+    assert h.hexdigest() == (
+        "0e5215d04ed648dbabf67232547c8473818d623aa8d611b51b33d29fef934a06"
+    )
 
 
 def test_budget_formula():
