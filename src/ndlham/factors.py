@@ -73,19 +73,28 @@ class TwoFactor:
 
 
 def validate_two_factor(g, f):
-    verts = f.vertices()
-    if verts != list(range(g.n)):
+    """Raise InvalidParameters unless the components of ``f`` partition the
+    vertices of ``g`` into edges and cycles of ``g``."""
+    rows = g.rows
+    covered, size = 0, 0
+    try:
+        for comp in f.components:
+            for v in comp:
+                covered |= 1 << v
+            size += len(comp)
+    except ValueError:  # negative vertex
+        covered = -1
+    if size != g.n or covered != (1 << g.n) - 1:
         raise InvalidParameters("two-factor components must partition the vertex set")
     for comp in f.components:
         if len(comp) < 2:
             raise InvalidParameters("component shorter than 2")
         if len(comp) == 2:
-            if not g.has_edge(comp[0], comp[1]):
+            if not rows[comp[0]] >> comp[1] & 1:
                 raise InvalidParameters(f"non-edge component {comp}")
         else:
-            for i in range(len(comp)):
-                u, v = comp[i], comp[(i + 1) % len(comp)]
-                if not g.has_edge(u, v):
+            for u, v in zip(comp, comp[1:] + comp[:1]):
+                if not rows[u] >> v & 1:
                     raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
 
 

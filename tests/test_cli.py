@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ndlham as nh
 from ndlham.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -119,6 +125,31 @@ def test_byte_identical_output(tmp_path, capsys):
     _, out1, _ = run(capsys, ["mixing", path, "--samples", "100", "--seed", "5"])
     _, out2, _ = run(capsys, ["mixing", path, "--samples", "100", "--seed", "5"])
     assert out1 == out2
+
+
+def test_mixing_negative_seed_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    code, out, err = run(capsys, ["mixing", path, "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_python_m_ndlham(tmp_path, capsys):
+    path = str(tmp_path / "p13.el")
+    run(capsys, ["gen", "--family", "paley", "--q", "13", "-o", path])
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ndlham", "certify", path],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["d"] == 6
 
 
 def test_usage_error_exit_2(tmp_path, capsys):

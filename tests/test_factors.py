@@ -47,6 +47,25 @@ def test_enumeration_no_duplicates(corpus):
             validate_two_factor(g, f)
 
 
+def test_validate_two_factor_messages():
+    k4 = nh.complete(4)
+    c4 = nh.cycle(4)  # edges 01 12 23 30
+    validate_two_factor(k4, nh.TwoFactor(((0, 1), (2, 3))))
+    cases = [
+        (k4, ((0, 1), (1, 2, 3)), "partition"),  # overlap
+        (k4, ((0, 1, 2),), "partition"),  # missing vertex
+        (k4, ((0, 1), (2, 4)), "partition"),  # out of range
+        (k4, ((0, 1), (-1, 2, 3)), "partition"),  # negative
+        (k4, ((0, 1, 2), (3,)), "shorter than 2"),
+        (c4, ((0, 2), (1, 3)), "non-edge component"),
+        (c4, ((0, 2, 1, 3),), r"non-edge \(0,2\) in component"),
+        (c4, ((0, 1, 3, 2),), r"non-edge \(1,3\) in component"),
+    ]
+    for g, comps, msg in cases:
+        with pytest.raises(InvalidParameters, match=msg):
+            validate_two_factor(g, nh.TwoFactor(comps))
+
+
 def test_weighted_sum_examples():
     assert nh.factor_histogram(nh.complete(4)).weighted_total == 9
     assert nh.factor_histogram(nh.cycle(5)).weighted_total == 2

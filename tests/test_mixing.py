@@ -1,7 +1,8 @@
 import dataclasses
 import math
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -65,32 +66,99 @@ def test_verify_mixing_clean(corpus):
         assert rep.violations == 0, name
 
 
-def test_verify_mixing_matches_adjacency_recount():
-    g = nh.random_regular(20, 4, 0)
-    cert = nh.certify(g)
-    rep = nh.verify_mixing(g, cert, sample_count=500, seed=3)
-    # the same pairs, drawn with the same calls, counted from the matrix
+def _battery_pairs(n):
+    full = list(range(n))
+    pairs = [([i], [j]) for i in range(n) for j in range(n)] + [(full, full)]
+    for size in range(2, (4 if n <= 16 else 2) + 1):
+        pairs += [(list(s), list(s)) for s in combinations(full, size)]
+    return pairs
+
+
+def _sampled_pairs(n, count, seed):
+    pairs = []
+    for s, t in nh.mixing._sample_blocks(n, count, seed):
+        pairs += [(np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist()) for a, b in zip(s, t)]
+    return pairs
+
+
+def _scalar(adj, cert, s, t):
+    e = int(adj[np.ix_(s, t)].sum())
+    defect = abs(e - cert.d / cert.n * len(s) * len(t))
+    bound = cert.lam * math.sqrt(len(s) * len(t))
+    return e, defect, bound
+
+
+def _recount(g, cert, pairs):
+    """(pairs_checked, max_normalized_defect, worst_pair, violations), each
+    pair counted from the adjacency matrix with the scalar float formula."""
     adj = g.adjacency_matrix()
-    rng = random.Random(3)
-    full = list(range(20))
-    pairs = [([i], [j]) for i in range(20) for j in range(20)] + [(full, full)]
-    pairs += [(list(s), list(s)) for s in combinations(full, 2)]
-    for _ in range(500):
-        ks = rng.randint(1, 20)
-        kt = rng.randint(1, 20)
-        pairs.append((rng.sample(full, ks), rng.sample(full, kt)))
     worst, worst_pair, violations = 0.0, ([], []), 0
     for s, t in pairs:
-        e = int(adj[np.ix_(s, t)].sum())
-        defect = abs(e - cert.d / cert.n * len(s) * len(t))
-        bound = cert.lam * math.sqrt(len(s) * len(t))
-        if defect / bound > worst:
-            worst, worst_pair = defect / bound, (s, t)
+        _, defect, bound = _scalar(adj, cert, s, t)
+        if bound > 0:
+            norm = defect / bound
+        else:
+            norm = 0.0 if defect <= nh.mixing.DEFECT_TOL else math.inf
+        if norm > worst:
+            worst, worst_pair = norm, (s, t)
         violations += defect > bound + nh.mixing.DEFECT_TOL
-    assert rep.pairs_checked == len(pairs)
-    assert rep.violations == violations
-    assert rep.max_normalized_defect == worst
-    assert rep.worst_pair == worst_pair
+    return len(pairs), worst, worst_pair, violations
+
+
+def _fields(rep):
+    return rep.pairs_checked, rep.max_normalized_defect, rep.worst_pair, rep.violations
+
+
+def test_verify_mixing_matches_adjacency_recount():
+    # rr(20,4) runs the |S| = 2 battery, paley(13) the |S| <= 4 one
+    for g, samples, seed in ((nh.random_regular(20, 4, 0), 500, 3), (nh.paley(13), 1500, 8)):
+        cert = nh.certify(g)
+        rep = nh.verify_mixing(g, cert, sample_count=samples, seed=seed)
+        pairs = _battery_pairs(g.n) + _sampled_pairs(g.n, samples, seed)
+        assert _fields(rep) == _recount(g, cert, pairs)
+        # every pair's e, defect and bound, bit for bit
+        adj = g.adjacency_matrix()
+        blocks = chain(nh.mixing._battery(g.n), nh.mixing._sample_blocks(g.n, samples, seed))
+        kernel = [row for s, t in blocks for row in zip(*nh.mixing._defects(adj, cert, s, t))]
+        assert kernel == [_scalar(adj, cert, s, t) for s, t in pairs]
+        for s, t in pairs[:: len(pairs) // 50]:
+            assert nh.mixing_defect(g, cert, s, t) == _scalar(adj, cert, s, t)
+
+
+def test_verify_mixing_zero_bound():
+    empty = nh.graph.from_edges(4, [])
+    cert = nh.certify(empty)
+    assert cert.lam == 0
+    rep = nh.verify_mixing(empty, cert, sample_count=50, seed=0)
+    assert (rep.max_normalized_defect, rep.worst_pair, rep.violations) == (0.0, ([], []), 0)
+
+    pet = nh.petersen()
+    zero = dataclasses.replace(nh.certify(pet), lam=0.0)
+    rep = nh.verify_mixing(pet, zero, sample_count=50, seed=0)
+    assert rep.max_normalized_defect == math.inf
+    pairs = _battery_pairs(10) + _sampled_pairs(10, 50, 0)
+    assert _fields(rep) == _recount(pet, zero, pairs)
+
+
+def test_sampler_sizes_and_subsets_uniform():
+    # n = 4: each size has probability 1/4 and each k-subset 1/(4 C(4,k));
+    # 4800 pairs span several blocks
+    n, count = 4, 4800
+    pairs = _sampled_pairs(n, count, 1)
+    assert len(pairs) == count
+    freq = Counter(tuple(s) for pair in pairs for s in pair)
+    assert len(freq) == 2**n - 1
+    for subset, seen in freq.items():
+        expected = 2 * count / (n * math.comb(n, len(subset)))
+        assert abs(seen - expected) < 0.25 * expected, (subset, seen, expected)
+
+
+def test_verify_mixing_rejects_bad_seed():
+    g = nh.petersen()
+    cert = nh.certify(g)
+    for seed in (-1, 1.5, "0"):
+        with pytest.raises(InvalidParameters, match="seed"):
+            nh.verify_mixing(g, cert, sample_count=10, seed=seed)
 
 
 def test_verify_mixing_negative_control():
