@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import experiments, factors, graph, hamiltonize, mixing, permanent, spectral
-from .errors import NdlError
+from .errors import InvalidParameters, NdlError
 
 
 def _load_graph(path):
@@ -118,6 +118,11 @@ def _cmd_phi(args):
 def _cmd_hamiltonize(args):
     import random
 
+    if args.factor_seed < 0:
+        # random.Random takes abs(seed), so -1 would silently act as 1
+        raise InvalidParameters(
+            f"hamiltonize: --factor-seed must be a non-negative integer, got {args.factor_seed}"
+        )
     g = _load_graph(args.input)
     cert = spectral.certify(g, args.epsilon)
     all_factors = factors.enumerate_two_factors(g)

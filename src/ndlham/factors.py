@@ -5,8 +5,11 @@ is partitioned into components, each a single edge or a graph cycle of
 length >= 3.  Every component of length >= 3 contributes a factor of two in
 the permanent expansion (its two orientations), which is what makes the
 ``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
-One backtracking enumerator serves both the 2-factor list and the
-histogram; Hamilton cycles are counted by the Held-Karp subset DP.
+One component walk, ``_components``, serves both the 2-factor list and the
+histogram: it lists the edges and canonical cycles through the lowest free
+vertex.  The histogram memoizes its generating functions on the free-vertex
+mask; the enumerator remembers the masks that have no cover and never walks
+into them twice.  Hamilton cycles are counted by the Held-Karp subset DP.
 """
 
 import math
@@ -38,7 +41,7 @@ def canonical_component(comp):
     return tuple(rot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoFactor:
     """Partition of the vertices into edge-components and cycles."""
 
@@ -98,53 +101,72 @@ def validate_two_factor(g, f):
                     raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
 
 
-def _iter_covers(g, visit):
-    """Backtracking core: partition vertices into edge/cycle components.
-
-    ``visit(components)`` is called once per complete 2-factor, with
-    components in canonical form.  Emission order is deterministic
-    (lexicographic by the canonical encoding).
+def _components(rows, free, visit):
+    """Call ``visit(comp, rest)`` for every component through the lowest
+    vertex v of the mask ``free``: first the edges {v, u} in ascending u,
+    then the cycles of length >= 3 in DFS order.  ``comp`` is canonical (v
+    first, second vertex below the last) and ``rest`` is ``free`` without
+    it.  A path v, p1, ... is extended only while a neighbour of v above p1
+    is still unused, since a canonical cycle can only close there, and while
+    its last vertex has a neighbour off the path.
     """
-    n = g.n
-    rows = g.rows
-    full = (1 << n) - 1
-    comps = []
+    v = (free & -free).bit_length() - 1
+    avail = free ^ (1 << v)
+    for u in _bits(rows[v] & avail):
+        visit((v, u), avail ^ (1 << u))
+    path = [v]
 
-    def descend(free):
-        if free == 0:
-            visit(comps)
-            return
-        v = (free & -free).bit_length() - 1
-        avail = free ^ (1 << v)
-        # edge components {v, u}
-        for u in _bits(rows[v] & avail):
-            comps.append((v, u))
-            descend(avail ^ (1 << u))
-            comps.pop()
-        # cycles of length >= 3 through v; canonical: v is the smallest
-        # vertex, and the first step is smaller than the last step
-        path = [v]
+    def extend(cur, left, ends):
+        # left: vertices of avail off the path; ends: the unused vertices
+        # where the cycle may still close
+        for w in _bits(rows[cur] & left):
+            bit = 1 << w
+            path.append(w)
+            if ends & bit:
+                visit(tuple(path), left ^ bit)
+            if ends & ~bit and rows[w] & left & ~bit:
+                extend(w, left ^ bit, ends & ~bit)
+            path.pop()
 
-        def extend(cur, used):
-            for w in _bits(rows[cur] & avail & ~used):
-                path.append(w)
-                if len(path) >= 3 and rows[w] >> v & 1 and path[1] < path[-1]:
-                    comps.append(tuple(path))
-                    descend(free & ~(used | (1 << w) | (1 << v)))
-                    comps.pop()
-                extend(w, used | (1 << w))
-                path.pop()
-
-        extend(v, 1 << v)
-
-    descend(full)
+    for w in _bits(rows[v] & avail):
+        ends = rows[v] & avail & -(2 << w)
+        if ends:
+            path.append(w)
+            extend(w, avail ^ (1 << w), ends)
+            path.pop()
 
 
 def enumerate_two_factors(g):
-    """All 2-factors of g, each exactly once, in canonical form."""
+    """All 2-factors of g, each exactly once, in canonical form.
+
+    A DFS over the components through the lowest free vertex; the emission
+    order is lexicographic by the canonical encoding.  Free masks found to
+    have no cover are remembered, so each dead branch is walked once.
+    """
     check_cap(g.n, ENUM_CAP, "enumerate_two_factors")
+    rows = g.rows
     found = []
-    _iter_covers(g, lambda comps: found.append(TwoFactor(tuple(comps))))
+    comps = []
+    dead = set()
+
+    def descend(free):
+        if free == 0:
+            found.append(TwoFactor(tuple(comps)))
+            return True
+        before = len(found)
+        _components(rows, free, visit)
+        return len(found) > before
+
+    def visit(comp, rest):
+        if rest in dead:
+            return
+        comps.append(comp)
+        if not descend(rest):
+            dead.add(rest)
+        comps.pop()
+
+    descend((1 << g.n) - 1)
+    dead.clear()  # the closures form a cycle; free the set now, not at GC
     return found
 
 
@@ -167,17 +189,45 @@ class FactorHistogram:
 
 
 def factor_histogram(g):
+    """Count the 2-factors by component count s, plain and 2^c(F)-weighted.
+
+    Both are generating functions in x = 2^B, memoized on the free mask and
+    packed into one Python int each: the cover count and the weight of the
+    covers of a free set, with the coefficient of x^s belonging to s
+    components.  Every coefficient is at most per(A) <= n! < 2^B, so the
+    slots never carry into each other.  A component shifts its remainder's
+    pair by B, and a cycle of length >= 3 doubles the weight.
+    """
     check_cap(g.n, ENUM_CAP, "factor_histogram")
-    counts = {}
-    weighted_by_s = {}
+    n = g.n
+    rows = g.rows
+    width = math.factorial(n).bit_length()
+    memo = {0: (1, 1)}
 
-    def visit(comps):
-        s = len(comps)
-        c = sum(1 for comp in comps if len(comp) >= 3)
-        counts[s] = counts.get(s, 0) + 1
-        weighted_by_s[s] = weighted_by_s.get(s, 0) + (1 << c)
+    def covers(free):
+        hit = memo.get(free)
+        if hit is not None:
+            return hit
+        acc = [0, 0]
 
-    _iter_covers(g, visit)
+        def visit(comp, rest):
+            count, weight = covers(rest)
+            acc[0] += count
+            acc[1] += weight << (len(comp) > 2)
+
+        _components(rows, free, visit)
+        memo[free] = pair = (acc[0] << width, acc[1] << width)
+        return pair
+
+    count, weight = covers((1 << n) - 1)
+    memo.clear()  # the closures form a cycle; free the memo now, not at GC
+    slot = (1 << width) - 1
+    counts, weighted_by_s = {}, {}
+    for s in range(n + 1):
+        c = count >> s * width & slot
+        if c:
+            counts[s] = c
+            weighted_by_s[s] = weight >> s * width & slot
     return FactorHistogram(
         counts=counts,
         total=sum(counts.values()),

@@ -37,9 +37,10 @@ def permanent_exact(m):
                  (prod_i d_i) * prod_j (sum_i d_i a_ij).
 
     Each inner sum is at most the largest column sum c in absolute value,
-    and one signed dot product in ``_glynn`` adds 2^(n//2) products, so the
-    tables are int64 when c^n * 2^(n//2) < 2^63 and arbitrary precision
-    otherwise.
+    and one signed dot product in ``_glynn`` adds 2^(n//2) products.  The
+    tables are int64 when c^n < 2^63, so that every product fits, and
+    arbitrary precision otherwise; when c^n * 2^(n//2) >= 2^63 the dot
+    product is summed in two exact halves (see ``_glynn``).
     """
     n = m.n
     if n == 0:
@@ -48,18 +49,21 @@ def permanent_exact(m):
     if any(r == 0 for r in m.rows):
         return 0
     max_col = max(sum(r >> j & 1 for r in m.rows) for j in range(n))
-    dtype = np.int64 if max_col**n << n // 2 < 1 << 63 else object
-    return _glynn(m, dtype)
+    bound = max_col**n
+    if bound >= 1 << 63:
+        return _glynn(m, object)
+    return _glynn(m, np.int64, split_dot=bound << n // 2 >= 1 << 63)
 
 
-def _glynn(m, dtype):
+def _glynn(m, dtype, split_dot=False):
     """Glynn's sum, meet in the middle.
 
     Rows 1..n-1 are split into n//2 low and (n-1)//2 high rows.  Each half
     gets an n x 2^rows table of its share of the column sums for every sign
     pattern of its rows, built by doubling (flipping row i subtracts 2 a_i),
     and the sign of each pattern.  Each high pattern then takes the column
-    products for all low patterns at once and one signed dot product.
+    products for all low patterns at once and one signed dot product, by
+    ``_split_dot`` when ``split_dot`` is set.
     """
     n = m.n
     a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=dtype)
@@ -78,7 +82,8 @@ def _glynn(m, dtype):
     high, high_sign = table(range(split, n), 0)
     total = 0
     for k in range(high.shape[1]):
-        s = int(low_sign @ np.prod(low + high[:, k:k + 1], axis=0))
+        prods = np.prod(low + high[:, k:k + 1], axis=0)
+        s = _split_dot(low_sign, prods) if split_dot else int(low_sign @ prods)
         total += s if high_sign[k] > 0 else -s
     per, rest = divmod(total, 1 << (n - 1))
     if rest:
@@ -86,6 +91,18 @@ def _glynn(m, dtype):
             f"permanent_exact: Glynn sum {total} is not divisible by 2^{n - 1}"
         )
     return per
+
+
+def _split_dot(sign, prods):
+    """The exact integer ``sign @ prods`` for int64 arrays of at most 2^30
+    terms, with ``sign`` in {+1, -1}.
+
+    Each product p is split as (p >> 32) * 2^32 + (p & 0xFFFFFFFF) and the
+    halves are dotted apart: |p >> 32| <= 2^31 and 0 <= p & 0xFFFFFFFF <
+    2^32, so neither sum can overflow.  Glynn's low half has 2^(n//2) <= 2^14
+    terms (n <= EXACT_CAP).
+    """
+    return (int(sign @ (prods >> 32)) << 32) + int(sign @ (prods & 0xFFFFFFFF))
 
 
 @dataclass(frozen=True)

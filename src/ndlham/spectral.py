@@ -10,8 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NotRegular
+from .graph import _bits
 
-CONNECT_TOL = 1e-8
+
+def _connected(g):
+    """Whether g is connected, by a breadth-first search over its adjacency
+    bitsets from vertex 0."""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= g.rows[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def spectrum(g):
@@ -72,7 +84,6 @@ def certify(g, epsilon=0.1):
         cond2 = (math.log(d) * math.log(d / lam)) / logn
     else:
         cond2 = 0.0 if lam >= d else math.inf
-    connected = eigs[1] < d - CONNECT_TOL
     return NdlCertificate(
         n=n,
         d=d,
@@ -81,6 +92,6 @@ def certify(g, epsilon=0.1):
         eigenvalue_ratio=ratio,
         cond1_margin=cond1,
         cond2_ratio=cond2,
-        connected=connected,
+        connected=_connected(g),
         epsilon=epsilon,
     )

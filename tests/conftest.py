@@ -131,6 +131,49 @@ def brute_two_factors(g):
     return out
 
 
+def set_bits(x):
+    """Indices of the set bits of x, ascending."""
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def backtrack_two_factors(g):
+    """Every 2-factor of g in canonical form, by plain backtracking: the
+    lowest free vertex takes each edge to a higher free neighbour, then
+    each cycle through it found by DFS over simple paths.  Nothing is
+    memoized or pruned; the emission order is lexicographic by the
+    canonical encoding."""
+    rows = g.rows
+    found = []
+    comps = []
+
+    def descend(free):
+        if free == 0:
+            found.append(nh.TwoFactor(tuple(comps)))
+            return
+        v = (free & -free).bit_length() - 1
+        avail = free ^ (1 << v)
+        for u in set_bits(rows[v] & avail):
+            comps.append((v, u))
+            descend(avail ^ (1 << u))
+            comps.pop()
+        path = [v]
+
+        def extend(cur, used):
+            for w in set_bits(rows[cur] & avail & ~used):
+                path.append(w)
+                if len(path) >= 3 and rows[w] >> v & 1 and path[1] < path[-1]:
+                    comps.append(tuple(path))
+                    descend(free & ~(used | (1 << w) | (1 << v)))
+                    comps.pop()
+                extend(w, used | (1 << w))
+                path.pop()
+
+        extend(v, 1 << v)
+
+    descend((1 << g.n) - 1)
+    return found
+
+
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
     descending; raises if the off-diagonal Frobenius norm is still >= tol

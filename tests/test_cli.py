@@ -136,6 +136,15 @@ def test_mixing_negative_seed_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "seed" in err
 
 
+def test_hamiltonize_negative_factor_seed_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    code, out, err = run(capsys, ["hamiltonize", path, "--factor-seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "factor-seed" in err
+
+
 def test_python_m_ndlham(tmp_path, capsys):
     path = str(tmp_path / "p13.el")
     run(capsys, ["gen", "--family", "paley", "--q", "13", "-o", path])

@@ -8,10 +8,30 @@ import ndlham as nh
 from ndlham.errors import InvalidParameters, TooLarge
 from ndlham.factors import validate_two_factor
 from conftest import (
+    backtrack_two_factors,
     brute_hamilton_count,
     brute_matching_count,
     brute_two_factors,
 )
+
+
+@pytest.fixture(scope="module", name="oracle_factors")
+def oracle_factors_fixture(corpus):
+    """The plain backtracking oracle's 2-factors of the corpus graphs up to
+    n = 12 (rr(12,6,0) among them) and of rr(16,4,0..1)."""
+    graphs = [(name, g) for name, g in corpus if g.n <= 12]
+    graphs += [(f"rr(16,4,{s})", nh.random_regular(16, 4, s)) for s in (0, 1)]
+    return [(name, g, backtrack_two_factors(g)) for name, g in graphs]
+
+
+def tallies(found):
+    """(counts, weighted_by_s) of a list of 2-factors."""
+    counts, weighted = {}, {}
+    for f in found:
+        s = f.num_components
+        counts[s] = counts.get(s, 0) + 1
+        weighted[s] = weighted.get(s, 0) + (1 << f.num_long_cycles)
+    return counts, weighted
 
 
 def test_k4_enumeration():
@@ -45,6 +65,49 @@ def test_enumeration_no_duplicates(corpus):
         assert len({f.components for f in fs}) == len(fs), name
         for f in fs:
             validate_two_factor(g, f)
+
+
+def test_enumeration_matches_backtracking_oracle(oracle_factors):
+    for name, g, expected in oracle_factors:
+        # the same 2-factors in the same order
+        assert nh.enumerate_two_factors(g) == expected, name
+
+
+def test_histogram_matches_backtracking_oracle(oracle_factors):
+    cases = oracle_factors + [
+        (f"K{n}", nh.complete(n), backtrack_two_factors(nh.complete(n)))
+        for n in range(3, 10)
+    ]
+    for name, g, found in cases:
+        hist = nh.factor_histogram(g)
+        counts, weighted = tallies(found)
+        assert hist.counts == counts, name
+        assert hist.weighted_by_s == weighted, name
+        assert hist.total == len(found), name
+
+
+def test_factor_core_edge_cases():
+    star = nh.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    path = nh.from_edges(3, [(0, 1), (1, 2)])
+    k4 = nh.complete(4)
+    two_k4 = nh.from_edges(8, list(k4.edges()) + [(u + 4, v + 4) for u, v in k4.edges()])
+    cases = [
+        (nh.from_edges(0, []), [()], {0: 1}, {0: 1}),
+        (nh.complete(2), [((0, 1),)], {1: 1}, {1: 1}),
+        (star, [], {}, {}),
+        (path, [], {}, {}),
+        (two_k4, None, {2: 9, 3: 18, 4: 9}, {2: 36, 3: 36, 4: 9}),
+    ]
+    for g, comps, counts, weighted in cases:
+        found = nh.enumerate_two_factors(g)
+        assert found == backtrack_two_factors(g)
+        if comps is not None:
+            assert [f.components for f in found] == comps
+        hist = nh.factor_histogram(g)
+        assert hist.counts == counts
+        assert hist.weighted_by_s == weighted
+        assert hist.total == len(found)
+        assert hist.weighted_total == nh.permanent_exact(nh.adjacency_matrix_of(g))
 
 
 def test_validate_two_factor_messages():

@@ -7,7 +7,7 @@ import pytest
 import ndlham as nh
 import ndlham.permanent
 from ndlham.errors import InvalidParameters, InvariantViolation, TooLarge
-from ndlham.permanent import _glynn
+from ndlham.permanent import _glynn, _split_dot
 from conftest import brute_permanent, ryser_permanent
 
 
@@ -51,26 +51,55 @@ def test_glynn_dtype_paths_agree():
         assert _glynn(m, object) == _glynn(m, np.int64) == ryser_permanent(g.rows, g.n)
 
 
-def test_glynn_guard_sends_large_products_to_object(monkeypatch):
-    dtypes = []
+@pytest.fixture(name="glynn_paths")
+def glynn_paths_fixture(monkeypatch):
+    """The (dtype, split_dot) of every ``_glynn`` call ``permanent_exact``
+    makes."""
+    paths = []
 
-    def spy(m, dtype):
-        dtypes.append(dtype)
-        return _glynn(m, dtype)
+    def spy(m, dtype, split_dot=False):
+        paths.append((dtype, split_dot))
+        return _glynn(m, dtype, split_dot)
 
     monkeypatch.setattr(ndlham.permanent, "_glynn", spy)
+    return paths
+
+
+def test_glynn_guard_sends_large_products_to_object(glynn_paths):
+    # column sums 16: 16^16 = 2^64, so a single product can overflow
     ones = nh.ZeroOneMatrix(16, ((1 << 16) - 1,) * 16)
     assert nh.permanent_exact(ones) == math.factorial(16)
-    # per(J - I) counts the derangements: D(k) = (k - 1) (D(k - 1) + D(k - 2))
+    # per(J - I) counts the derangements: D(k) = (k - 1) (D(k - 1) + D(k - 2));
+    # 15^16 < 2^63 <= 15^16 * 2^8, so int64 with the split dot product
     derangements = [1, 0]
     for k in range(2, 17):
         derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
     assert nh.permanent_exact(nh.adjacency_matrix_of(nh.complete(16))) == derangements[16]
-    assert dtypes == [object, object]
-    # column sums 8: 8^17 * 2^8 < 2^63, so int64 suffices
+    assert glynn_paths == [(object, False), (np.int64, True)]
+    # column sums 8: 8^17 * 2^8 < 2^63, so int64 with one plain dot product
     p17 = nh.paley(17)
     assert nh.permanent_exact(nh.adjacency_matrix_of(p17)) == ryser_permanent(p17.rows, 17)
-    assert dtypes[2] is np.int64
+    assert glynn_paths[2] == (np.int64, False)
+
+
+def test_glynn_split_dot_on_int64(glynn_paths):
+    # 8-regular: 8^18 = 2^54 fits, 8^18 * 2^9 = 2^63 does not
+    g = nh.circulant(18, (1, 2, 3, 4))
+    m = nh.adjacency_matrix_of(g)
+    expected = ryser_permanent(g.rows, 18)
+    assert nh.permanent_exact(m) == expected
+    assert glynn_paths == [(np.int64, True)]
+    assert _glynn(m, object) == expected
+
+
+def test_split_dot_is_exact_past_int64():
+    big = (1 << 63) - 1
+    prods = np.array([big, big, big, -big, 1 << 62, -(1 << 62)] * 3, dtype=np.int64)
+    sign = np.array([1, 1, 1, -1, 1, -1] * 3, dtype=np.int64)
+    expected = sum(int(s) * int(p) for s, p in zip(sign, prods))
+    assert expected > 1 << 63
+    assert _split_dot(sign, prods) == expected
+    assert _split_dot(-sign, prods) == -expected
 
 
 def test_glynn_sum_not_divisible_raises(monkeypatch):

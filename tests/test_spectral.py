@@ -88,10 +88,33 @@ def test_certify_diagnostics_natural_logs():
     )
 
 
-def test_certify_connectivity():
+def components_from_edges(g):
+    """Number of connected components, by union-find over ``g.edges()``."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(g.n)})
+
+
+def test_certify_connectivity(corpus):
     assert nh.certify(nh.petersen()).connected
     two_triangles = nh.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert not nh.certify(two_triangles).connected
+    # vertices 0 and 1 in different triangles
+    interleaved = nh.from_edges(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    assert not nh.certify(interleaved).connected
+    k4 = nh.complete(4).edges()
+    two_k4 = nh.from_edges(8, list(k4) + [(u + 4, v + 4) for u, v in k4])
+    assert not nh.certify(two_k4).connected
+    extra = [("two triangles", two_triangles), ("interleaved", interleaved), ("2K4", two_k4)]
+    for name, g in corpus + extra:
+        assert nh.certify(g).connected == (components_from_edges(g) == 1), name
 
 
 def test_certify_rejects_irregular():
