@@ -39,8 +39,8 @@ def permanent_exact(m):
     Each inner sum is at most the largest column sum c in absolute value,
     and one signed dot product in ``_glynn`` adds 2^(n//2) products.  The
     tables are int64 when c^n < 2^63, so that every product fits, and
-    arbitrary precision otherwise; when c^n * 2^(n//2) >= 2^63 the dot
-    product is summed in two exact halves (see ``_glynn``).
+    arbitrary precision otherwise; on int64 each dot product is summed in
+    two exact halves by ``_split_dot``, so the sum cannot overflow.
     """
     n = m.n
     if n == 0:
@@ -49,13 +49,10 @@ def permanent_exact(m):
     if any(r == 0 for r in m.rows):
         return 0
     max_col = max(sum(r >> j & 1 for r in m.rows) for j in range(n))
-    bound = max_col**n
-    if bound >= 1 << 63:
-        return _glynn(m, object)
-    return _glynn(m, np.int64, split_dot=bound << n // 2 >= 1 << 63)
+    return _glynn(m, np.int64 if max_col**n < 1 << 63 else object)
 
 
-def _glynn(m, dtype, split_dot=False):
+def _glynn(m, dtype):
     """Glynn's sum, meet in the middle.
 
     Rows 1..n-1 are split into n//2 low and (n-1)//2 high rows.  Each half
@@ -63,7 +60,7 @@ def _glynn(m, dtype, split_dot=False):
     pattern of its rows, built by doubling (flipping row i subtracts 2 a_i),
     and the sign of each pattern.  Each high pattern then takes the column
     products for all low patterns at once and one signed dot product, by
-    ``_split_dot`` when ``split_dot`` is set.
+    ``_split_dot`` on int64.
     """
     n = m.n
     a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=dtype)
@@ -83,7 +80,7 @@ def _glynn(m, dtype, split_dot=False):
     total = 0
     for k in range(high.shape[1]):
         prods = np.prod(low + high[:, k:k + 1], axis=0)
-        s = _split_dot(low_sign, prods) if split_dot else int(low_sign @ prods)
+        s = int(low_sign @ prods) if dtype is object else _split_dot(low_sign, prods)
         total += s if high_sign[k] > 0 else -s
     per, rest = divmod(total, 1 << (n - 1))
     if rest:

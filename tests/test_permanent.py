@@ -53,13 +53,12 @@ def test_glynn_dtype_paths_agree():
 
 @pytest.fixture(name="glynn_paths")
 def glynn_paths_fixture(monkeypatch):
-    """The (dtype, split_dot) of every ``_glynn`` call ``permanent_exact``
-    makes."""
+    """The dtype of every ``_glynn`` call ``permanent_exact`` makes."""
     paths = []
 
-    def spy(m, dtype, split_dot=False):
-        paths.append((dtype, split_dot))
-        return _glynn(m, dtype, split_dot)
+    def spy(m, dtype):
+        paths.append(dtype)
+        return _glynn(m, dtype)
 
     monkeypatch.setattr(ndlham.permanent, "_glynn", spy)
     return paths
@@ -70,25 +69,21 @@ def test_glynn_guard_sends_large_products_to_object(glynn_paths):
     ones = nh.ZeroOneMatrix(16, ((1 << 16) - 1,) * 16)
     assert nh.permanent_exact(ones) == math.factorial(16)
     # per(J - I) counts the derangements: D(k) = (k - 1) (D(k - 1) + D(k - 2));
-    # 15^16 < 2^63 <= 15^16 * 2^8, so int64 with the split dot product
+    # 15^16 < 2^63, so every product fits and the tables are int64
     derangements = [1, 0]
     for k in range(2, 17):
         derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
     assert nh.permanent_exact(nh.adjacency_matrix_of(nh.complete(16))) == derangements[16]
-    assert glynn_paths == [(object, False), (np.int64, True)]
-    # column sums 8: 8^17 * 2^8 < 2^63, so int64 with one plain dot product
-    p17 = nh.paley(17)
-    assert nh.permanent_exact(nh.adjacency_matrix_of(p17)) == ryser_permanent(p17.rows, 17)
-    assert glynn_paths[2] == (np.int64, False)
+    assert glynn_paths == [object, np.int64]
 
 
-def test_glynn_split_dot_on_int64(glynn_paths):
+def test_glynn_int64_past_a_plain_dot_bound(glynn_paths):
     # 8-regular: 8^18 = 2^54 fits, 8^18 * 2^9 = 2^63 does not
     g = nh.circulant(18, (1, 2, 3, 4))
     m = nh.adjacency_matrix_of(g)
     expected = ryser_permanent(g.rows, 18)
     assert nh.permanent_exact(m) == expected
-    assert glynn_paths == [(np.int64, True)]
+    assert glynn_paths == [np.int64]
     assert _glynn(m, object) == expected
 
 
