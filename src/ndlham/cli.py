@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each subcommand declares only the options that change its output.
+``--epsilon`` (the constant of condition 1) is taken by ``certify`` and
+``report``; ``--format csv`` is offered by ``certify``, ``count`` and
+``report``, the subcommands that build CSV rows.  argparse rejects either
+option elsewhere with exit 2.
+
 Exit codes: 0 on success (including reported failures like an
 unhamiltonizable input), 1 when a mathematical invariant is violated, 2 on
 usage errors.
@@ -19,10 +25,9 @@ def _load_graph(path):
 
 
 def _emit(args, payload, csv_rows=None):
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -73,7 +78,7 @@ def _cmd_certify(args):
 
 def _cmd_mixing(args):
     g = _load_graph(args.input)
-    cert = spectral.certify(g, args.epsilon)
+    cert = spectral.certify(g)
     rep = mixing.verify_mixing(g, cert, sample_count=args.samples, seed=args.seed)
     _emit(args, rep.to_json_dict())
     return 1 if rep.violations else 0
@@ -124,7 +129,7 @@ def _cmd_hamiltonize(args):
             f"hamiltonize: --factor-seed must be a non-negative integer, got {args.factor_seed}"
         )
     g = _load_graph(args.input)
-    cert = spectral.certify(g, args.epsilon)
+    cert = spectral.certify(g)
     all_factors = factors.enumerate_two_factors(g)
     if not all_factors:
         _emit(args, {"error": "graph has no 2-factor"})
@@ -177,10 +182,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, epsilon=True):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        if epsilon:
-            p.add_argument("--epsilon", type=float, default=0.1)
+    def output_format(p, csv=False):
+        choices = ["json", "csv", "text"] if csv else ["json", "text"]
+        p.add_argument("--format", choices=choices, default="json")
 
     p = sub.add_parser("gen", help="generate a family graph as an edge list")
     p.add_argument("--family", required=True,
@@ -195,48 +199,50 @@ def build_parser():
 
     p = sub.add_parser("certify", help="spectral (n,d,lambda) certificate")
     p.add_argument("input")
-    common(p)
+    output_format(p, csv=True)
+    p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("mixing", help="verify the mixing inequality on sampled pairs")
     p.add_argument("input")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_mixing)
 
     p = sub.add_parser("permanent", help="exact adjacency permanent and bounds")
     p.add_argument("input")
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_permanent)
 
     p = sub.add_parser("count", help="exact Hamilton/matching/2-factor counts")
     p.add_argument("what", choices=["hamilton", "matchings", "factors"])
     p.add_argument("input")
-    common(p)
+    output_format(p, csv=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("phi", help="max 2-factor count over induced k-subgraphs")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("hamiltonize", help="convert a random 2-factor to a Hamilton cycle")
     p.add_argument("input")
     p.add_argument("--factor-seed", dest="factor_seed", type=int, default=0)
     p.add_argument("--budget-constant", dest="budget_constant", type=float, default=10.0)
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_hamiltonize)
 
     p = sub.add_parser("report", help="exact counts against every bound")
     p.add_argument("input")
-    common(p)
+    output_format(p, csv=True)
+    p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("tail", help="cycle-count tail diagnostics")
     p.add_argument("input")
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("experiment", help="random-graph expectation baselines")
@@ -246,7 +252,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p, epsilon=False)
+    output_format(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -1,6 +1,5 @@
-"""Exception types shared across the package."""
-
-import os
+"""Exception types shared across the package, and the size-cap guard of the
+exponential-time operations."""
 
 
 class NdlError(Exception):
@@ -35,22 +34,8 @@ class InconsistentTrace(NdlError, ValueError):
     """An edge-replacement trace does not replay cleanly."""
 
 
-def effective_cap(default):
-    """Size cap for an exponential operation.
-
-    The NDL_SIZE_CAP environment variable may lower (never raise) the
-    built-in cap; a value that is not an integer raises InvalidParameters.
-    """
-    env = os.environ.get("NDL_SIZE_CAP")
-    if env is None:
-        return default
-    try:
-        return min(default, int(env))
-    except ValueError:
-        raise InvalidParameters(f"NDL_SIZE_CAP must be an integer, got {env!r}") from None
-
-
-def check_cap(n, default, what):
-    cap = effective_cap(default)
+def check_cap(n, cap, what):
+    """Raise TooLarge if an exponential-time operation's input size n
+    exceeds its built-in cap."""
     if n > cap:
         raise TooLarge(f"{what}: n={n} exceeds size cap {cap}")

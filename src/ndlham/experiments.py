@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from . import factors, mixing, permanent, spectral
-from .errors import InvalidParameters, NotRegular, TooLarge, check_cap
+from .errors import InvalidParameters, NotRegular, TooLarge
 from .graph import from_edges
 
 LOG_SLACK = 1e-9
@@ -142,7 +142,6 @@ def tail_diagnostics(g):
     """
     if not g.is_regular():
         raise NotRegular("tail_diagnostics: graph is not regular")
-    check_cap(g.n, factors.ENUM_CAP, "tail_diagnostics")
     n, d = g.n, g.degree(0)
     if d < 2:
         raise InvalidParameters("tail_diagnostics: d >= 2 required")
@@ -172,7 +171,6 @@ def phi_estimate_report(g, t):
         raise NotRegular("phi_estimate_report: graph is not regular")
     if not 1 <= t <= g.n - 2:
         raise InvalidParameters("phi_estimate_report: 1 <= t <= n-2 required")
-    check_cap(g.n, factors.PHI_CAP, "phi_estimate_report")
     cert = spectral.certify(g)
     n, d, lam = g.n, cert.d, cert.lam
     k = n - t

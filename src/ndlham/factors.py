@@ -56,9 +56,6 @@ class TwoFactor:
         """c(F): components that are genuine cycles (length >= 3)."""
         return sum(1 for c in self.components if len(c) >= 3)
 
-    def vertices(self):
-        return sorted(v for c in self.components for v in c)
-
     def edges(self):
         out = set()
         for comp in self.components:

@@ -52,9 +52,6 @@ class Graph:
     def has_edge(self, u, v):
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, v):
-        return _bits(self.rows[v])
-
     def edges(self):
         """Edges as sorted (u, v) pairs with u < v, lexicographic order."""
         out = []

@@ -41,7 +41,12 @@ class RotationTrace:
 
 def merge_budget(n, d, lam, budget_constant):
     """Per-merge replacement budget ceil(C log n / log(d/lambda)); falls
-    back to n outside the formula's domain d > lambda."""
+    back to n outside the formula's domain d > lambda.  The constant C must
+    be finite and positive."""
+    if not 0 < budget_constant < math.inf:
+        raise InvalidParameters(
+            f"merge_budget: budget constant must be finite and > 0, got {budget_constant}"
+        )
     if lam <= 0 or d <= lam:
         return n
     return max(2, math.ceil(budget_constant * math.log(n) / math.log(d / lam)))

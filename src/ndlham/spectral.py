@@ -67,8 +67,11 @@ def certify(g, epsilon=0.1):
 
     lambda is the largest absolute value among the nontrivial eigenvalues,
     i.e. max(|eig_2|, |eig_n|) for the descending-sorted spectrum.  All
-    logarithms are natural.
+    logarithms are natural.  epsilon, the constant of condition 1
+    d/lambda >= (log n)^(1+epsilon), must be finite and positive.
     """
+    if not 0 < epsilon < math.inf:
+        raise InvalidParameters(f"certify: epsilon must be finite and > 0, got {epsilon}")
     if not g.is_regular():
         raise NotRegular("certify: graph is not regular")
     if g.n < 3:

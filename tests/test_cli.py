@@ -179,10 +179,48 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert "regular" in err
 
 
-def test_bad_size_cap_exit_2(tmp_path, capsys, monkeypatch):
+# a valid argv for each subcommand that takes --format; G stands for the graph file
+OPTION_TARGETS = {
+    "certify": ["certify", "G"],
+    "mixing": ["mixing", "G", "--samples", "10"],
+    "permanent": ["permanent", "G"],
+    "count": ["count", "hamilton", "G"],
+    "phi": ["phi", "G", "--k", "3"],
+    "hamiltonize": ["hamiltonize", "G"],
+    "report": ["report", "G"],
+    "tail": ["tail", "G"],
+    "experiment": ["experiment", "gnp"],
+}
+
+
+@pytest.mark.parametrize("option, accepted", [
+    (["--epsilon", "0.2"], {"certify", "report"}),
+    (["--format", "csv"], {"certify", "count", "report"}),
+])
+def test_options_only_where_they_act(tmp_path, capsys, option, accepted):
     path = str(tmp_path / "k4.el")
     run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
-    monkeypatch.setenv("NDL_SIZE_CAP", "ten")
-    code, _, err = run(capsys, ["permanent", path])
+    for cmd, argv in OPTION_TARGETS.items():
+        argv = [path if a == "G" else a for a in argv] + option
+        if cmd in accepted:
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and out, cmd
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, cmd
+            assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "G", "--epsilon", "nan"],
+    ["report", "G", "--epsilon", "0"],
+    ["hamiltonize", "G", "--budget-constant", "inf"],
+])
+def test_malformed_constant_exit_2(tmp_path, capsys, argv):
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    code, out, err = run(capsys, [path if a == "G" else a for a in argv])
     assert code == 2
-    assert "NDL_SIZE_CAP" in err and "'ten'" in err
+    assert out == ""
+    assert err.startswith("error:") and "finite and > 0" in err

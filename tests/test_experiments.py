@@ -31,6 +31,16 @@ def test_bounds_report_petersen():
     assert rep.all_ok  # 0 <= every upper bound
 
 
+def test_bounds_report_past_enum_cap():
+    g = nh.random_regular(18, 4, 0)
+    assert g.n > nh.factors.ENUM_CAP
+    rep = nh.bounds_report(g)
+    assert {"permanent", "h", "m"} <= rep.exact.keys()
+    assert not {"f_total", "f_histogram"} & rep.exact.keys()
+    assert "h_le_f" not in rep.ok
+    assert rep.ok and all(rep.ok.values())
+
+
 def test_bounds_report_rejects_irregular():
     with pytest.raises(NotRegular):
         nh.bounds_report(nh.from_edges(3, [(0, 1), (1, 2)]))

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 
 import pytest
 
@@ -143,12 +144,22 @@ def test_traces_pinned():
 
 
 def test_budget_formula():
-    import math
-
     assert merge_budget(10, 3, 2.0, 10.0) == math.ceil(
         10 * math.log(10) / math.log(1.5)
     )
     assert merge_budget(12, 2, 2.0, 10.0) == 12  # degenerate d/lambda
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -3.0])
+def test_budget_constant_must_be_finite_positive(c):
+    with pytest.raises(InvalidParameters, match="finite and > 0"):
+        merge_budget(10, 3, 2.0, c)
+    with pytest.raises(InvalidParameters, match="finite and > 0"):
+        merge_budget(12, 2, 2.0, c)  # checked before the degenerate fallback
+    k6 = nh.complete(6)
+    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(InvalidParameters, match="finite and > 0"):
+        nh.two_factor_to_hamilton(k6, f, nh.certify(k6), c)
 
 
 def test_replay_rejects_corrupt_trace():

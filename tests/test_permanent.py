@@ -133,18 +133,10 @@ def test_permutation_invariance():
         assert nh.permanent_exact(permuted(m, rp, cp)) == base
 
 
-def test_size_cap(monkeypatch):
-    big = nh.ZeroOneMatrix(3, (0b111,) * 3)
-    monkeypatch.setenv("NDL_SIZE_CAP", "2")
-    with pytest.raises(TooLarge):
-        nh.permanent_exact(big)
-
-
-def test_size_cap_rejects_non_integer(monkeypatch):
-    big = nh.ZeroOneMatrix(3, (0b111,) * 3)
-    monkeypatch.setenv("NDL_SIZE_CAP", "12.5")
-    with pytest.raises(InvalidParameters, match="12.5"):
-        nh.permanent_exact(big)
+def test_size_cap():
+    identity = nh.ZeroOneMatrix(29, tuple(1 << i for i in range(29)))
+    with pytest.raises(TooLarge, match="n=29 exceeds size cap 28"):
+        nh.permanent_exact(identity)
 
 
 def test_bregman_bound_values():

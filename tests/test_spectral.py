@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ndlham as nh
-from ndlham.errors import NotRegular
+from ndlham.errors import InvalidParameters, NotRegular
 from conftest import jacobi_eigenvalues
 
 
@@ -139,3 +139,9 @@ def test_certificate_json_keys():
         "n", "d", "lambda", "eigenvalues", "eigenvalue_ratio",
         "cond1_margin", "cond2_ratio", "connected", "epsilon",
     }
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_certify_rejects_malformed_epsilon(epsilon):
+    with pytest.raises(InvalidParameters, match="finite and > 0"):
+        nh.certify(nh.paley(13), epsilon)
