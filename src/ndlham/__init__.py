@@ -14,12 +14,10 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    GraphFamilySpec,
     circulant,
     complete,
     cycle,
     from_edges,
-    generate,
     paley,
     petersen,
     random_regular,

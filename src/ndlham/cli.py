@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Each subcommand declares only the options that change its output.
-``--epsilon`` (the constant of condition 1) is taken by ``certify`` and
-``report``; ``--format csv`` is offered by ``certify``, ``count`` and
-``report``, the subcommands that build CSV rows.  argparse rejects either
-option elsewhere with exit 2.
+Each subcommand declares only the options that change its output, and
+argparse rejects any other with exit 2.  ``gen`` and ``experiment`` take
+one subcommand per graph family or experiment kind, each with the options
+its function reads.  ``--epsilon`` (the constant of condition 1) is taken
+by ``certify`` and ``report``; ``--format csv`` is offered by ``certify``,
+``count`` and ``report``, the subcommands that build CSV rows.
 
 Exit codes: 0 on success (including reported failures like an
 unhamiltonizable input), 1 when a mathematical invariant is violated, 2 on
@@ -16,7 +17,7 @@ import json
 import sys
 
 from . import experiments, factors, graph, hamiltonize, mixing, permanent, spectral
-from .errors import InvalidParameters, NdlError
+from .errors import NdlError, check_seed
 
 
 def _load_graph(path):
@@ -51,16 +52,7 @@ def _print_text(payload, indent=0):
 
 
 def _cmd_gen(args):
-    spec = graph.GraphFamilySpec(
-        family=args.family,
-        q=args.q or 0,
-        n=args.n or 0,
-        d=args.d or 0,
-        connection_set=tuple(args.connection_set or ()),
-        seed=args.seed,
-    )
-    g = graph.generate(spec)
-    text = graph.write_edge_list(g)
+    text = graph.write_edge_list(args.build(args))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -123,11 +115,7 @@ def _cmd_phi(args):
 def _cmd_hamiltonize(args):
     import random
 
-    if args.factor_seed < 0:
-        # random.Random takes abs(seed), so -1 would silently act as 1
-        raise InvalidParameters(
-            f"hamiltonize: --factor-seed must be a non-negative integer, got {args.factor_seed}"
-        )
+    check_seed(args.factor_seed, "hamiltonize: --factor-seed")
     g = _load_graph(args.input)
     cert = spectral.certify(g)
     all_factors = factors.enumerate_two_factors(g)
@@ -160,18 +148,13 @@ def _cmd_tail(args):
 
 
 def _cmd_experiment(args):
-    if args.kind == "gnp":
-        value = experiments.janson_expectation_gnp(args.n, args.p)
-        payload = {"log_expectation": value}
-    elif args.kind == "gnm":
-        value, is_zero = experiments.janson_expectation_gnm(args.n, args.m)
-        payload = {"log_expectation": None if is_zero else value, "is_zero": is_zero}
-    elif args.kind == "mc":
-        payload = experiments.monte_carlo_gnp(args.n, args.p, args.trials, args.seed)
-    else:  # trend
-        payload = experiments.theorem_trend(seed=args.seed)
-    _emit(args, payload)
+    _emit(args, args.run(args))
     return 0
+
+
+def _gnm(n, m):
+    value, is_zero = experiments.janson_expectation_gnm(n, m)
+    return {"log_expectation": None if is_zero else value, "is_zero": is_zero}
 
 
 def build_parser():
@@ -187,15 +170,24 @@ def build_parser():
         p.add_argument("--format", choices=choices, default="json")
 
     p = sub.add_parser("gen", help="generate a family graph as an edge list")
-    p.add_argument("--family", required=True,
-                   choices=["paley", "random-regular", "complete", "cycle", "petersen", "circulant"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--connection-set", dest="connection_set", type=int, nargs="*")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
+    families = p.add_subparsers(dest="family", required=True)
+
+    def family(name, build, *options):
+        f = families.add_parser(name)
+        for opt in options:
+            f.add_argument(opt, type=int, required=True)
+        f.add_argument("-o", "--output")
+        f.set_defaults(func=_cmd_gen, build=build)
+        return f
+
+    family("paley", lambda a: graph.paley(a.q), "--q")
+    f = family("random-regular", lambda a: graph.random_regular(a.n, a.d, a.seed), "--n", "--d")
+    f.add_argument("--seed", type=int, default=0)
+    family("complete", lambda a: graph.complete(a.n), "--n")
+    family("cycle", lambda a: graph.cycle(a.n), "--n")
+    family("petersen", lambda a: graph.petersen())
+    f = family("circulant", lambda a: graph.circulant(a.n, a.connection_set), "--n")
+    f.add_argument("--connection-set", dest="connection_set", type=int, nargs="+", required=True)
 
     p = sub.add_parser("certify", help="spectral (n,d,lambda) certificate")
     p.add_argument("input")
@@ -246,14 +238,22 @@ def build_parser():
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("experiment", help="random-graph expectation baselines")
-    p.add_argument("kind", choices=["gnp", "gnm", "mc", "trend"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    output_format(p)
-    p.set_defaults(func=_cmd_experiment)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    defaults = {"--n": 8, "--p": 0.5, "--m": 0, "--trials": 100, "--seed": 0}
+
+    def kind(name, run, *options):
+        k = kinds.add_parser(name)
+        for opt in options:
+            k.add_argument(opt, type=type(defaults[opt]), default=defaults[opt])
+        output_format(k)
+        k.set_defaults(func=_cmd_experiment, run=run)
+
+    kind("gnp", lambda a: {"log_expectation": experiments.janson_expectation_gnp(a.n, a.p)},
+         "--n", "--p")
+    kind("gnm", lambda a: _gnm(a.n, a.m), "--n", "--m")
+    kind("mc", lambda a: experiments.monte_carlo_gnp(a.n, a.p, a.trials, a.seed),
+         "--n", "--p", "--trials", "--seed")
+    kind("trend", lambda a: experiments.theorem_trend(seed=a.seed), "--seed")
 
     return parser
 

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the size-cap guard of the
-exponential-time operations."""
+"""Exception types shared across the package, the size-cap guard of the
+exponential-time operations and the seed guard of the seeded ones."""
+
+from numbers import Integral
 
 
 class NdlError(Exception):
@@ -39,3 +41,10 @@ def check_cap(n, cap, what):
     exceeds its built-in cap."""
     if n > cap:
         raise TooLarge(f"{what}: n={n} exceeds size cap {cap}")
+
+
+def check_seed(seed, what):
+    """Raise InvalidParameters unless seed is a non-negative integer:
+    random.Random takes abs(seed), so -1 would silently act as 1."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise InvalidParameters(f"{what} must be a non-negative integer, got {seed!r}")

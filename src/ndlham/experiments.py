@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from . import factors, mixing, permanent, spectral
-from .errors import InvalidParameters, NotRegular, TooLarge
+from .errors import InvalidParameters, NotRegular, TooLarge, check_seed
 from .graph import from_edges
 
 LOG_SLACK = 1e-9
@@ -261,8 +261,10 @@ def monte_carlo_gnp(n, p, trials, seed=0):
     closed-form expectation.
 
     Per-trial RNG streams are derived from (seed, trial index), so the
-    result is independent of evaluation order.
+    result is independent of evaluation order; ``seed`` is a non-negative
+    int.
     """
+    check_seed(seed, "monte_carlo_gnp: seed")
     if n > 14:
         raise TooLarge("monte_carlo_gnp: n <= 14 required")
     if trials < 1 or not 0 <= p <= 1:
@@ -284,6 +286,7 @@ def theorem_trend(ns=range(10, 21, 2), ds=(4, 6), seed=0):
     from .errors import GenerationTimeout
     from .graph import random_regular
 
+    check_seed(seed, "theorem_trend: seed")
     rows = []
     for d in ds:
         for n in ns:

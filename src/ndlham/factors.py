@@ -7,9 +7,9 @@ the permanent expansion (its two orientations), which is what makes the
 ``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
 One component walk, ``_components``, serves both the 2-factor list and the
 histogram: it lists the edges and canonical cycles through the lowest free
-vertex.  The histogram memoizes its generating functions on the free-vertex
-mask; the enumerator remembers the masks that have no cover and never walks
-into them twice.  Hamilton cycles are counted by the Held-Karp subset DP.
+vertex.  Both memoize on the free-vertex mask, the histogram its generating
+functions and the enumerator its list of covers.  Hamilton cycles are
+counted by the Held-Karp subset DP.
 """
 
 import math
@@ -25,20 +25,6 @@ HAMILTON_CAP = 24
 MATCHING_CAP = 30
 PHI_CAP = 14
 NEAR_CAP = 12
-
-
-def canonical_component(comp):
-    """Canonical rotation of one component: smallest vertex first; cycles
-    additionally take the orientation whose second vertex is the smaller
-    neighbor of the start."""
-    comp = list(comp)
-    if len(comp) == 2:
-        return tuple(sorted(comp))
-    k = comp.index(min(comp))
-    rot = comp[k:] + comp[:k]
-    if rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[1:][::-1]
-    return tuple(rot)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +51,6 @@ class TwoFactor:
                 for i in range(len(comp)):
                     out.add(tuple(sorted((comp[i], comp[(i + 1) % len(comp)]))))
         return out
-
-    @staticmethod
-    def from_components(components):
-        comps = tuple(sorted(canonical_component(c) for c in components))
-        return TwoFactor(comps)
 
 
 def validate_two_factor(g, f):
@@ -136,34 +117,30 @@ def _components(rows, free, visit):
 def enumerate_two_factors(g):
     """All 2-factors of g, each exactly once, in canonical form.
 
-    A DFS over the components through the lowest free vertex; the emission
-    order is lexicographic by the canonical encoding.  Free masks found to
-    have no cover are remembered, so each dead branch is walked once.
+    The covers of a free mask are its components through the lowest free
+    vertex, each followed by every cover of the rest; the lists are
+    memoized on the mask, so each mask is walked once.  The order is
+    lexicographic by the canonical encoding.
     """
     check_cap(g.n, ENUM_CAP, "enumerate_two_factors")
     rows = g.rows
-    found = []
-    comps = []
-    dead = set()
+    memo = {0: [()]}
 
-    def descend(free):
-        if free == 0:
-            found.append(TwoFactor(tuple(comps)))
-            return True
-        before = len(found)
+    def covers(free):
+        hit = memo.get(free)
+        if hit is not None:
+            return hit
+        out = []
+
+        def visit(comp, rest):
+            out.extend((comp,) + t for t in covers(rest))
+
         _components(rows, free, visit)
-        return len(found) > before
+        memo[free] = out
+        return out
 
-    def visit(comp, rest):
-        if rest in dead:
-            return
-        comps.append(comp)
-        if not descend(rest):
-            dead.add(rest)
-        comps.pop()
-
-    descend((1 << g.n) - 1)
-    dead.clear()  # the closures form a cycle; free the set now, not at GC
+    found = [TwoFactor(t) for t in covers((1 << g.n) - 1)]
+    memo.clear()  # the closures form a cycle; free the memo now, not at GC
     return found
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationTimeout, InvalidParameters, ParseError
+from .errors import GenerationTimeout, InvalidParameters, ParseError, check_seed
 
 RESTART_CAP = 10_000  # configuration-model full restarts before giving up
 
@@ -122,18 +122,6 @@ def from_edges(n, edges):
 # generators
 
 
-@dataclass(frozen=True)
-class GraphFamilySpec:
-    """Description of one deterministic test-family graph."""
-
-    family: str
-    q: int = 0
-    n: int = 0
-    d: int = 0
-    connection_set: tuple = ()
-    seed: int = 0
-
-
 def is_prime(q):
     if q < 2:
         return False
@@ -189,8 +177,9 @@ def random_regular(n, d, seed):
     """Random d-regular simple graph via the configuration model.
 
     Any loop or parallel edge triggers a full restart; generation is
-    deterministic given (n, d, seed).
+    deterministic given (n, d, seed), and ``seed`` is a non-negative int.
     """
+    check_seed(seed, "random-regular: seed")
     if not (2 <= d < n):
         raise InvalidParameters("random-regular: 2 <= d < n required")
     if (n * d) % 2 != 0:
@@ -210,24 +199,6 @@ def random_regular(n, d, seed):
         if ok:
             return from_edges(n, sorted(seen))
     raise GenerationTimeout(f"random-regular(n={n}, d={d}) failed after {RESTART_CAP} restarts")
-
-
-def generate(spec):
-    """Build the graph described by a GraphFamilySpec."""
-    fam = spec.family
-    if fam == "complete":
-        return complete(spec.n)
-    if fam == "cycle":
-        return cycle(spec.n)
-    if fam == "petersen":
-        return petersen()
-    if fam == "paley":
-        return paley(spec.q)
-    if fam == "circulant":
-        return circulant(spec.n, spec.connection_set)
-    if fam == "random-regular":
-        return random_regular(spec.n, spec.d, spec.seed)
-    raise InvalidParameters(f"unknown family {fam!r}")
 
 
 # ---------------------------------------------------------------------------

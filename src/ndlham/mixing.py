@@ -18,7 +18,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, check_seed
 from .graph import _mask
 
 DEFECT_TOL = 1e-9
@@ -139,8 +139,7 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     """
     if sample_count < 1:
         raise InvalidParameters("verify_mixing: sample_count >= 1 required")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParameters(f"verify_mixing: seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed, "verify_mixing: seed")
     n = g.n
     a = g.adjacency_matrix()
     checked, violations = 0, 0

@@ -174,6 +174,26 @@ def backtrack_two_factors(g):
     return found
 
 
+def canonical_component(comp):
+    """Canonical rotation of one component: smallest vertex first; cycles
+    additionally take the orientation whose second vertex is the smaller
+    neighbor of the start."""
+    comp = list(comp)
+    if len(comp) == 2:
+        return tuple(sorted(comp))
+    k = comp.index(min(comp))
+    rot = comp[k:] + comp[:k]
+    if rot[1] > rot[-1]:
+        rot = [rot[0]] + rot[1:][::-1]
+    return tuple(rot)
+
+
+def two_factor_from_components(components):
+    """The TwoFactor with these components, each in canonical form, in
+    sorted order."""
+    return nh.TwoFactor(tuple(sorted(canonical_component(c) for c in components)))
+
+
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
     descending; raises if the off-diagonal Frobenius norm is still >= tol

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ndlham as nh
-from ndlham.cli import main
+from ndlham.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,7 +21,7 @@ def run(capsys, argv):
 
 def test_gen_and_certify(tmp_path, capsys):
     path = str(tmp_path / "g.el")
-    code, _, _ = run(capsys, ["gen", "--family", "paley", "--q", "13", "-o", path])
+    code, _, _ = run(capsys, ["gen", "paley", "--q", "13", "-o", path])
     assert code == 0
     code, out, _ = run(capsys, ["certify", path, "--epsilon", "0.1"])
     assert code == 0
@@ -30,14 +31,14 @@ def test_gen_and_certify(tmp_path, capsys):
 
 
 def test_gen_stdout(capsys):
-    code, out, _ = run(capsys, ["gen", "--family", "complete", "--n", "3"])
+    code, out, _ = run(capsys, ["gen", "complete", "--n", "3"])
     assert code == 0
     assert out == "3 3\n0 1\n0 2\n1 2\n"
 
 
 def test_count_hamilton_k5(tmp_path, capsys):
     path = str(tmp_path / "k5.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "5", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "5", "-o", path])
     code, out, _ = run(capsys, ["count", "hamilton", path])
     assert code == 0
     assert json.loads(out)["hamilton_cycles"] == "12"
@@ -45,7 +46,7 @@ def test_count_hamilton_k5(tmp_path, capsys):
 
 def test_count_factors_csv(tmp_path, capsys):
     path = str(tmp_path / "k4.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "4", "-o", path])
     code, out, _ = run(capsys, ["count", "factors", path, "--format", "csv"])
     assert code == 0
     assert out.splitlines() == ["s,count", "1,3", "2,3"]
@@ -53,7 +54,7 @@ def test_count_factors_csv(tmp_path, capsys):
 
 def test_permanent_subcommand(tmp_path, capsys):
     path = str(tmp_path / "k4.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "4", "-o", path])
     code, out, _ = run(capsys, ["permanent", path])
     assert code == 0
     assert json.loads(out)["permanent"] == "9"
@@ -61,7 +62,7 @@ def test_permanent_subcommand(tmp_path, capsys):
 
 def test_mixing_exit_codes(tmp_path, capsys):
     path = str(tmp_path / "p.el")
-    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    run(capsys, ["gen", "petersen", "-o", path])
     code, out, _ = run(capsys, ["mixing", path, "--samples", "50", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["violations"] == 0
@@ -69,7 +70,7 @@ def test_mixing_exit_codes(tmp_path, capsys):
 
 def test_hamiltonize_failure_is_exit_zero(tmp_path, capsys):
     path = str(tmp_path / "p.el")
-    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    run(capsys, ["gen", "petersen", "-o", path])
     code, out, _ = run(capsys, ["hamiltonize", path, "--factor-seed", "3"])
     assert code == 0
     assert json.loads(out)["success"] is False
@@ -77,7 +78,7 @@ def test_hamiltonize_failure_is_exit_zero(tmp_path, capsys):
 
 def test_hamiltonize_success(tmp_path, capsys):
     path = str(tmp_path / "k6.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "6", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "6", "-o", path])
     code, out, _ = run(
         capsys, ["hamiltonize", path, "--factor-seed", "3", "--budget-constant", "10"]
     )
@@ -87,7 +88,7 @@ def test_hamiltonize_success(tmp_path, capsys):
 
 def test_report_and_tail(tmp_path, capsys):
     path = str(tmp_path / "k6.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "6", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "6", "-o", path])
     code, out, _ = run(capsys, ["report", path])
     assert code == 0
     rep = json.loads(out)
@@ -100,7 +101,7 @@ def test_report_and_tail(tmp_path, capsys):
 
 def test_phi_subcommand(tmp_path, capsys):
     path = str(tmp_path / "k4.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "4", "-o", path])
     code, out, _ = run(capsys, ["phi", path, "--k", "3"])
     assert code == 0
     assert json.loads(out)["phi"] == "1"
@@ -120,7 +121,7 @@ def test_experiment_subcommands(capsys):
 
 def test_byte_identical_output(tmp_path, capsys):
     path = str(tmp_path / "g.el")
-    run(capsys, ["gen", "--family", "random-regular", "--n", "10", "--d", "3",
+    run(capsys, ["gen", "random-regular", "--n", "10", "--d", "3",
                  "--seed", "7", "-o", path])
     _, out1, _ = run(capsys, ["mixing", path, "--samples", "100", "--seed", "5"])
     _, out2, _ = run(capsys, ["mixing", path, "--samples", "100", "--seed", "5"])
@@ -129,7 +130,7 @@ def test_byte_identical_output(tmp_path, capsys):
 
 def test_mixing_negative_seed_exit_2(tmp_path, capsys):
     path = str(tmp_path / "p.el")
-    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    run(capsys, ["gen", "petersen", "-o", path])
     code, out, err = run(capsys, ["mixing", path, "--seed", "-1"])
     assert code == 2
     assert out == ""
@@ -138,7 +139,7 @@ def test_mixing_negative_seed_exit_2(tmp_path, capsys):
 
 def test_hamiltonize_negative_factor_seed_exit_2(tmp_path, capsys):
     path = str(tmp_path / "p.el")
-    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    run(capsys, ["gen", "petersen", "-o", path])
     code, out, err = run(capsys, ["hamiltonize", path, "--factor-seed", "-1"])
     assert code == 2
     assert out == ""
@@ -147,7 +148,7 @@ def test_hamiltonize_negative_factor_seed_exit_2(tmp_path, capsys):
 
 def test_python_m_ndlham(tmp_path, capsys):
     path = str(tmp_path / "p13.el")
-    run(capsys, ["gen", "--family", "paley", "--q", "13", "-o", path])
+    run(capsys, ["gen", "paley", "--q", "13", "-o", path])
     src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ndlham", "certify", path],
@@ -199,7 +200,7 @@ OPTION_TARGETS = {
 ])
 def test_options_only_where_they_act(tmp_path, capsys, option, accepted):
     path = str(tmp_path / "k4.el")
-    run(capsys, ["gen", "--family", "complete", "--n", "4", "-o", path])
+    run(capsys, ["gen", "complete", "--n", "4", "-o", path])
     for cmd, argv in OPTION_TARGETS.items():
         argv = [path if a == "G" else a for a in argv] + option
         if cmd in accepted:
@@ -219,8 +220,81 @@ def test_options_only_where_they_act(tmp_path, capsys, option, accepted):
 ])
 def test_malformed_constant_exit_2(tmp_path, capsys, argv):
     path = str(tmp_path / "p.el")
-    run(capsys, ["gen", "--family", "petersen", "-o", path])
+    run(capsys, ["gen", "petersen", "-o", path])
     code, out, err = run(capsys, [path if a == "G" else a for a in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite and > 0" in err
+
+
+# the options each gen family and experiment kind reads, with a valid value
+READS = {
+    ("gen", "paley"): {"--q": "13"},
+    ("gen", "random-regular"): {"--n": "10", "--d": "3", "--seed": "7"},
+    ("gen", "complete"): {"--n": "4"},
+    ("gen", "cycle"): {"--n": "5"},
+    ("gen", "petersen"): {},
+    ("gen", "circulant"): {"--n": "6", "--connection-set": "1"},
+    ("experiment", "gnp"): {"--n": "6", "--p": "0.5"},
+    ("experiment", "gnm"): {"--n": "6", "--m": "9"},
+    ("experiment", "mc"): {"--n": "6", "--p": "0.5", "--trials": "3", "--seed": "1"},
+    ("experiment", "trend"): {"--seed": "1"},
+}
+FIVE_OPTIONS = {
+    "gen": {"--q": "13", "--n": "6", "--d": "3", "--connection-set": "1", "--seed": "1"},
+    "experiment": {"--n": "6", "--p": "0.5", "--m": "9", "--trials": "3", "--seed": "1"},
+}
+
+
+def test_family_and_kind_options_only_where_read(capsys):
+    rejected = 0
+    for (cmd, name), reads in READS.items():
+        argv = [cmd, name] + [x for kv in reads.items() for x in kv]
+        build_parser().parse_args(argv)  # every option it reads is accepted
+        for opt, value in FIVE_OPTIONS[cmd].items():
+            if opt in reads:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [opt, value])
+            assert exc.value.code == 2, (name, opt)
+            assert capsys.readouterr().out == ""
+            rejected += 1
+    assert rejected == 33
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "nope"],
+    ["gen", "--family", "paley", "--q", "13"],
+    ["gen", "paley"],
+    ["experiment", "nope"],
+])
+def test_unknown_family_or_kind_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random-regular", "--n", "10", "--d", "3", "--seed", "-1"],
+    ["experiment", "mc", "--n", "6", "--trials", "3", "--seed", "-1"],
+    ["experiment", "trend", "--seed", "-1"],
+])
+def test_negative_seed_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("ndlham ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for ln in lines:
+        try:
+            parser.parse_args(shlex.split(ln)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {ln}")

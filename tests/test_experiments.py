@@ -153,3 +153,15 @@ def test_theorem_trend_shape():
     assert len(rows) == 2
     for row in rows:
         assert 0 < row["gap"] < 2
+
+
+def test_negative_seed_rejected():
+    # random.Random takes abs(seed): seed -1 would silently repeat seed 1
+    for call in (
+        lambda: nh.random_regular(10, 3, -1),
+        lambda: nh.monte_carlo_gnp(6, 0.5, trials=3, seed=-1),
+        lambda: nh.theorem_trend(ns=(10,), ds=(4,), seed=-1),
+        lambda: nh.random_regular(10, 3, 1.5),
+    ):
+        with pytest.raises(InvalidParameters, match="seed"):
+            call()

@@ -67,13 +67,6 @@ def test_circulant():
         nh.circulant(6, (4,))
 
 
-def test_generate_dispatch():
-    spec = nh.GraphFamilySpec(family="paley", q=13)
-    assert nh.generate(spec).n == 13
-    with pytest.raises(InvalidParameters):
-        nh.generate(nh.GraphFamilySpec(family="nope"))
-
-
 def test_symmetry_and_loops_enforced():
     with pytest.raises(InvalidParameters):
         nh.Graph(2, (0b10, 0b00))  # asymmetric

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import ndlham as nh
+from conftest import two_factor_from_components
 from ndlham.errors import InconsistentTrace, InvalidParameters
 from ndlham.hamiltonize import merge_budget
 
@@ -53,7 +54,7 @@ def test_trivial_single_cycle():
 def test_k6_two_triangles():
     k6 = nh.complete(6)
     cert = nh.certify(k6)
-    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     tr = nh.two_factor_to_hamilton(k6, f, cert)
     assert tr.success
     assert tr.replacements <= 4
@@ -157,7 +158,7 @@ def test_budget_constant_must_be_finite_positive(c):
     with pytest.raises(InvalidParameters, match="finite and > 0"):
         merge_budget(12, 2, 2.0, c)  # checked before the degenerate fallback
     k6 = nh.complete(6)
-    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     with pytest.raises(InvalidParameters, match="finite and > 0"):
         nh.two_factor_to_hamilton(k6, f, nh.certify(k6), c)
 
@@ -165,7 +166,7 @@ def test_budget_constant_must_be_finite_positive(c):
 def test_replay_rejects_corrupt_trace():
     k6 = nh.complete(6)
     cert = nh.certify(k6)
-    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     tr = nh.two_factor_to_hamilton(k6, f, cert)
     import dataclasses
 
@@ -182,9 +183,9 @@ def test_replay_rejects_corrupt_trace():
 def test_replay_rejects_wrong_factor():
     k6 = nh.complete(6)
     cert = nh.certify(k6)
-    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     tr = nh.two_factor_to_hamilton(k6, f, cert)
-    other = nh.TwoFactor.from_components([(0, 1, 3), (2, 4, 5)])
+    other = two_factor_from_components([(0, 1, 3), (2, 4, 5)])
     with pytest.raises(InconsistentTrace):
         nh.replay(k6, other, tr)
 
@@ -192,7 +193,7 @@ def test_replay_rejects_wrong_factor():
 def test_trace_json_shape():
     k6 = nh.complete(6)
     cert = nh.certify(k6)
-    f = nh.TwoFactor.from_components([(0, 1, 2), (3, 4, 5)])
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     d = nh.two_factor_to_hamilton(k6, f, cert).to_json_dict()
     assert d["success"] is True
     assert all(set(op) == {"op", "u", "v"} for op in d["trace"])
