@@ -9,7 +9,8 @@ One component walk, ``_components``, serves both the 2-factor list and the
 histogram: it lists the edges and canonical cycles through the lowest free
 vertex.  Both memoize on the free-vertex mask, the histogram its generating
 functions and the enumerator its list of covers.  Hamilton cycles are
-counted by the Held-Karp subset DP.
+counted by the Held-Karp subset DP, which keeps only the live subsets of
+each popcount layer, those that some path from vertex 0 covers.
 """
 
 import math
@@ -237,53 +238,76 @@ def hamilton_count_exact(g):
 
 
 def _hamilton_dp(g, dtype):
-    """Held-Karp DP over popcount layers of the subsets of 1..n-1.
+    """Held-Karp DP over popcount layers of the subsets of 1..n-1, kept
+    sparse: each layer holds only its live masks, those with a path.
 
-    Bit u - 1 of a mask k stands for vertex u; the DP value at (u, k)
+    Bit u - 1 of a mask stands for vertex u; the DP value at (u, mask)
     counts the paths that start at 0, visit exactly 0 and the vertices of
-    k, and end at u.  Layer c reads only layer c - 1, so only those two are
-    kept: ``cur[u - 1, pos]`` belongs to the mask ``layer[pos]``, and
-    ``rank`` maps every mask to its position within its own layer.  Each
-    (layer, endpoint, neighbor) triple is one vectorised gather.
+    the mask, and end at u.  A layer is the ascending array ``masks`` of
+    its live masks and the table ``cnt``, where ``cnt[u - 1, pos]`` belongs
+    to ``masks[pos]``.  Layer c reads only layer c - 1: for each endpoint u,
+    the counts of u's neighbors are summed over the live masks without u,
+    and the nonzero sums go to the masks with u added.  Those targets are
+    stamped into ``live``, a flag per subset, whose set flags in ascending
+    order are the next layer; ``rank`` maps each of them to its position.
     """
     n = g.n
     rows = g.rows
     size = 1 << (n - 1)
-    popcount = np.zeros(size, dtype=np.int8)
-    for i in range(n - 1):
-        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
-    # layer 1 holds the single bits 1 << (u - 1), in the order of u
+    live = np.zeros(size, dtype=bool)
     rank = np.zeros(size, dtype=np.int32)
-    rank[1 << np.arange(n - 1)] = np.arange(n - 1)
-    prev = np.zeros((n - 1, n - 1), dtype=dtype)
-    for u in _bits(rows[0]):
-        prev[u - 1, u - 1] = 1
+    # layer 1: the one-edge paths from 0, one per neighbor u, mask 1 << (u - 1)
+    first = np.array([u - 1 for u in _bits(rows[0])], dtype=np.int32)
+    masks = np.left_shift(1, first, dtype=np.int32)
+    cnt = np.zeros((n - 1, len(first)), dtype=dtype)
+    cnt[first, np.arange(len(first))] = 1
     # rows of the DP that may precede u on a path: its neighbors other than 0
     preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
-    for c in range(2, n):
-        layer = np.flatnonzero(popcount == c).astype(np.int32)
-        rank[layer] = np.arange(len(layer), dtype=np.int32)
-        cur = np.zeros((n - 1, len(layer)), dtype=dtype)
+    for _ in range(2, n):
+        steps = []
         for u in range(1, n):
             if not preds[u]:
                 continue
             bit = 1 << (u - 1)
-            pos = np.flatnonzero(layer & bit)
-            back = rank[layer[pos] ^ bit]
-            acc = prev[preds[u][0]][back]
+            src = np.flatnonzero((masks & bit) == 0)
+            acc = cnt[preds[u][0]][src]
             for v in preds[u][1:]:
-                acc += prev[v][back]
-            cur[u - 1][pos] = acc
-        prev = cur
-    total = sum(int(prev[v - 1, 0]) for v in _bits(rows[0]))
-    return total // 2
+                acc += cnt[v][src]
+            keep = np.flatnonzero(acc)
+            to = masks[src[keep]] | bit
+            live[to] = True
+            steps.append((u - 1, to, acc[keep]))
+        # drop the old table before the new one is allocated
+        cnt = None
+        masks = np.flatnonzero(live).astype(np.int32)
+        live[masks] = False
+        rank[masks] = np.arange(len(masks), dtype=np.int32)
+        cnt = np.zeros((n - 1, len(masks)), dtype=dtype)
+        for row, to, val in steps:
+            cnt[row][rank[to]] = val
+    # the last layer is the full mask alone, or empty
+    if not len(masks):
+        return 0
+    return sum(int(cnt[v - 1, 0]) for v in _bits(rows[0])) // 2
 
 
 def is_hamilton_cycle(g, seq):
-    """Whether ``seq`` lists a Hamilton cycle of g."""
-    if len(seq) != g.n or g.n < 3 or sorted(seq) != list(range(g.n)):
+    """Whether ``seq`` lists a Hamilton cycle of g: n vertices, each a
+    neighbor of the one before it (the first of the last), whose bits fill
+    the vertex mask."""
+    n = g.n
+    if len(seq) != n or n < 3 or not 0 <= seq[-1] < n:
         return False
-    return all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n))
+    rows = g.rows
+    seen = 0
+    u = seq[-1]
+    for v in seq:
+        # a vertex >= n is in no row; a negative one is rejected first
+        if v < 0 or not rows[u] >> v & 1:
+            return False
+        seen |= 1 << v
+        u = v
+    return seen == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------

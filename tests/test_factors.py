@@ -1,17 +1,19 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters, TooLarge
-from ndlham.factors import validate_two_factor
+from ndlham.factors import _hamilton_dp, is_hamilton_cycle, validate_two_factor
 from conftest import (
     backtrack_two_factors,
     brute_hamilton_count,
     brute_matching_count,
     brute_two_factors,
+    ie_hamilton_count,
 )
 
 
@@ -179,11 +181,64 @@ def test_hamilton_equals_single_component_count(corpus):
 
 
 def test_hamilton_bigint_path_agrees():
-    from ndlham.factors import _hamilton_dp
-
     for g in (nh.complete(7), nh.petersen(), nh.random_regular(12, 4, 5)):
         h = nh.factor_histogram(g).counts.get(1, 0)
         assert _hamilton_dp(g, object) == _hamilton_dp(g, np.int64) == h
+
+
+def test_hamilton_matches_inclusion_exclusion():
+    # beyond the corpus (n <= 14) and the permutation brute force
+    graphs = [nh.random_regular(18, 4, s) for s in (0, 1)]
+    graphs += [nh.circulant(18, (1, 2, 3, 4)), nh.paley(17)]
+    for g in graphs:
+        h = ie_hamilton_count(g)
+        assert nh.hamilton_count_exact(g) == _hamilton_dp(g, object) == h
+
+
+def test_hamilton_dp_empty_layers():
+    # a vertex whose only neighbor is 0, or a layer with no live mask
+    cases = [
+        nh.from_edges(4, [(0, 1), (0, 2), (0, 3)]),  # star K_{1,3}
+        nh.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # path P4
+        nh.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2 K3
+        nh.from_edges(4, [(1, 2), (2, 3), (1, 3)]),  # vertex 0 isolated
+    ]
+    for g in cases:
+        h = brute_hamilton_count(g)
+        assert _hamilton_dp(g, object) == _hamilton_dp(g, np.int64) == h
+
+
+def test_hamilton_live_state_memory():
+    # the live masks need about 20 MB here, a dense two-layer table 131 MB
+    g = nh.random_regular(22, 4, 0)
+    tracemalloc.start()
+    try:
+        h = nh.hamilton_count_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 4518
+    assert peak < 64 * 2**20
+
+
+def test_is_hamilton_cycle():
+    c5 = nh.cycle(5)
+    assert is_hamilton_cycle(c5, (0, 1, 2, 3, 4))
+    assert is_hamilton_cycle(c5, [2, 1, 0, 4, 3])
+    assert is_hamilton_cycle(nh.complete(3), (0, 1, 2))
+    for g, seq in [
+        (c5, (0, 1, 2, 3, 3)),  # duplicate vertex
+        (c5, (0, 1, 2, 3, -1)),  # negative vertex
+        (c5, (0, -4, 2, 3, 4)),  # negative vertex, -4 = 1 mod 5
+        (c5, (0, 1, 2, 3, 5)),  # out of range
+        (c5, (0, 1, 7, 3, 4)),  # out of range
+        (c5, (0, 1, 2, 3)),  # too short
+        (c5, (0, 1, 2, 3, 4, 0)),  # too long
+        (nh.complete(2), (0, 1)),  # n < 3
+        (c5, (0, 2, 1, 3, 4)),  # 0-2 is no edge
+        (c5, (0, 1, 2, 4, 3)),  # 2-4 is no edge
+    ]:
+        assert not is_hamilton_cycle(g, seq), seq
 
 
 def test_matching_counts():
