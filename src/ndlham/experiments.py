@@ -72,29 +72,26 @@ def bounds_report(g, epsilon=0.1):
         exact["m"] = factors.perfect_matching_count(g)
 
     vdw = permanent.vdw_lower(n, d).value
-    bregman = permanent.bregman_bound(g.degrees).value
-    reg_up = permanent.regular_upper(n, d).value
     bounds = {
         "vdw_lower": vdw,
-        "bregman_upper": bregman,
-        "regular_upper": reg_up,
+        "bregman_upper": permanent.bregman_bound(g.degrees).value,
+        "regular_upper": permanent.regular_upper(n, d).value,
         "theorem_estimate": vdw,  # n! (d/n)^n, the target count in log domain
     }
     if n % 2 == 0:
         bounds["alon_friedland_upper"] = permanent.alon_friedland_upper(n, d).value
 
+    # exact integer checks: each upper bound, raised to d or 2d, is (d!)^n
+    top = math.factorial(d) ** n
     if "permanent" in exact:
-        logper = math.log(exact["permanent"]) if exact["permanent"] > 0 else -math.inf
-        ok["vdw_le_per"] = vdw <= logper + LOG_SLACK
-        ok["per_le_bregman"] = logper <= bregman + LOG_SLACK
+        ok["vdw_le_per"] = exact["permanent"] * n**n >= math.factorial(n) * d**n
+        ok["per_le_bregman"] = exact["permanent"] ** d <= top
     if "h" in exact:
-        logh = math.log(exact["h"]) if exact["h"] > 0 else -math.inf
-        ok["h_le_regular_upper"] = logh <= reg_up + LOG_SLACK
+        ok["h_le_regular_upper"] = exact["h"] ** d <= top
         if "f_total" in exact:
             ok["h_le_f"] = exact["h"] <= exact["f_total"]
     if "m" in exact:
-        logm = math.log(exact["m"]) if exact["m"] > 0 else -math.inf
-        ok["m_le_alon_friedland"] = logm <= bounds["alon_friedland_upper"] + LOG_SLACK
+        ok["m_le_alon_friedland"] = exact["m"] ** (2 * d) <= top
         if "h" in exact:
             ok["h_le_binom_m_2"] = exact["h"] <= exact["m"] * (exact["m"] - 1) // 2
 

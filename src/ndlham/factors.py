@@ -9,8 +9,8 @@ One component walk, ``_components``, serves both the 2-factor list and the
 histogram: it lists the edges and canonical cycles through the lowest free
 vertex.  Both memoize on the free-vertex mask, the histogram its generating
 functions and the enumerator its list of covers.  Hamilton cycles are
-counted by the Held-Karp subset DP, which keeps only the live subsets of
-each popcount layer, those that some path from vertex 0 covers.
+counted by the Held-Karp subset DP over the live subsets of each popcount
+layer, on int64 residues mod 2^64 and, where 2h may not fit, mod a prime.
 """
 
 import math
@@ -26,6 +26,7 @@ HAMILTON_CAP = 24
 MATCHING_CAP = 30
 PHI_CAP = 14
 NEAR_CAP = 12
+PRIME = 2**58 - 27  # a sum of n - 2 <= 22 residues stays below 2^63
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,38 +219,38 @@ def factor_histogram(g):
 def hamilton_count_exact(g):
     """h(G) by dynamic programming over (visited-subset, endpoint) states.
 
-    Paths are rooted at vertex 0 and closed back to it; each undirected
-    cycle is found once per orientation, so the result is halved.
+    Paths are rooted at vertex 0 and closed back to it, so each cycle is
+    counted twice, and 2h <= B = min((n-1)!, deg(0) (max degree - 1)^(n-2)).
+    One pass gives 2h mod 2^64, which is 2h when B < 2^64; otherwise a pass
+    mod PRIME follows, and the CRT rebuilds 2h < 2^64 PRIME (> 23!).
     """
     check_cap(g.n, HAMILTON_CAP, "hamilton_count_exact")
     n = g.n
     if n < 3:
         return 0
-    max_deg = max(g.degrees, default=0)
-    if max_deg < 2:
-        return 0
-    # any DP state holds at most min((n-1)!, n*(max_deg-1)^(n-1)) paths;
-    # use int64 when that provably fits, arbitrary precision otherwise
-    log_bound = min(
-        math.lgamma(n), (n - 1) * math.log(max(2, max_deg - 1)) + math.log(n)
-    )
-    dtype = np.int64 if log_bound < 62 * math.log(2) else object
-    return _hamilton_dp(g, dtype)
+    bound = min(math.factorial(n - 1), g.degree(0) * (max(g.degrees) - 1) ** (n - 2))
+    twice = _hamilton_dp(g)
+    if bound >= 1 << 64:
+        lift = (_hamilton_dp(g, PRIME) - twice) * pow(1 << 64, -1, PRIME) % PRIME
+        twice += lift << 64
+    return twice // 2
 
 
-def _hamilton_dp(g, dtype):
-    """Held-Karp DP over popcount layers of the subsets of 1..n-1, kept
-    sparse: each layer holds only its live masks, those with a path.
+def _hamilton_dp(g, p=None):
+    """2h(G) mod 2^64, or mod ``p``, by the Held-Karp DP over popcount
+    layers of the subsets of 1..n-1, kept sparse: each layer holds only its
+    live masks.
 
-    Bit u - 1 of a mask stands for vertex u; the DP value at (u, mask)
-    counts the paths that start at 0, visit exactly 0 and the vertices of
-    the mask, and end at u.  A layer is the ascending array ``masks`` of
-    its live masks and the table ``cnt``, where ``cnt[u - 1, pos]`` belongs
-    to ``masks[pos]``.  Layer c reads only layer c - 1: for each endpoint u,
-    the counts of u's neighbors are summed over the live masks without u,
-    and the nonzero sums go to the masks with u added.  Those targets are
-    stamped into ``live``, a flag per subset, whose set flags in ascending
-    order are the next layer; ``rank`` maps each of them to its position.
+    Bit u - 1 of a mask stands for vertex u; the value at (u, mask) counts
+    the paths that start at 0, visit exactly 0 and the mask, and end at u.
+    A layer is the ascending array ``masks`` and the int64 table ``cnt``,
+    with ``cnt[u - 1, pos]`` for ``masks[pos]``.  For each endpoint u, the
+    counts of u's neighbors are summed over the masks without u, and the
+    nonzero sums go to the masks with u added; those are stamped into
+    ``live``, a flag per subset, and ``rank`` maps the next layer's masks
+    to their positions.  The DP only adds, so cells that wrap stay exact
+    mod 2^64 and a zero residue can be dropped; mod p < 2^58, each sum of
+    at most n - 2 residues is reduced before it can reach 2^63.
     """
     n = g.n
     rows = g.rows
@@ -259,7 +260,7 @@ def _hamilton_dp(g, dtype):
     # layer 1: the one-edge paths from 0, one per neighbor u, mask 1 << (u - 1)
     first = np.array([u - 1 for u in _bits(rows[0])], dtype=np.int32)
     masks = np.left_shift(1, first, dtype=np.int32)
-    cnt = np.zeros((n - 1, len(first)), dtype=dtype)
+    cnt = np.zeros((n - 1, len(first)), dtype=np.int64)
     cnt[first, np.arange(len(first))] = 1
     # rows of the DP that may precede u on a path: its neighbors other than 0
     preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
@@ -273,6 +274,8 @@ def _hamilton_dp(g, dtype):
             acc = cnt[preds[u][0]][src]
             for v in preds[u][1:]:
                 acc += cnt[v][src]
+            if p:
+                acc %= p
             keep = np.flatnonzero(acc)
             to = masks[src[keep]] | bit
             live[to] = True
@@ -282,13 +285,13 @@ def _hamilton_dp(g, dtype):
         masks = np.flatnonzero(live).astype(np.int32)
         live[masks] = False
         rank[masks] = np.arange(len(masks), dtype=np.int32)
-        cnt = np.zeros((n - 1, len(masks)), dtype=dtype)
+        cnt = np.zeros((n - 1, len(masks)), dtype=np.int64)
         for row, to, val in steps:
             cnt[row][rank[to]] = val
     # the last layer is the full mask alone, or empty
     if not len(masks):
         return 0
-    return sum(int(cnt[v - 1, 0]) for v in _bits(rows[0])) // 2
+    return sum(int(cnt[v - 1, 0]) for v in _bits(rows[0])) % (p or 1 << 64)
 
 
 def is_hamilton_cycle(g, seq):
@@ -366,8 +369,8 @@ def two_factors_near_hamilton(g, h, k):
     """Number of 2-factors within k edge replacements of the Hamilton cycle
     h: those obtainable by deleting at most k cycle edges and re-tailoring,
     i.e. |E(H) \\ E(F)| <= k."""
-    if k > 3:
-        raise InvalidParameters("two_factors_near_hamilton: k <= 3 required")
+    if not 0 <= k <= 3:
+        raise InvalidParameters("two_factors_near_hamilton: 0 <= k <= 3 required")
     check_cap(g.n, NEAR_CAP, "two_factors_near_hamilton")
     if h.num_components != 1 or not is_hamilton_cycle(g, h.components[0]):
         raise InvalidParameters("two_factors_near_hamilton: H is not a Hamilton cycle")

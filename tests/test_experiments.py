@@ -24,6 +24,18 @@ def test_bounds_report_k6():
     assert rep.all_ok
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_bounds_report_bregman_equality(k):
+    # K_{k,k}: per = (k!)^2 and m = k! meet their upper bounds exactly, and
+    # log(per) exceeds the float Bregman bound by a rounding error
+    g = nh.from_edges(2 * k, [(i, k + j) for i in range(k) for j in range(k)])
+    rep = nh.bounds_report(g)
+    assert rep.exact["permanent"] == math.factorial(k) ** 2
+    assert rep.exact["m"] == math.factorial(k)
+    assert rep.ok["per_le_bregman"] and rep.ok["m_le_alon_friedland"]
+    assert rep.all_ok
+
+
 def test_bounds_report_petersen():
     rep = nh.bounds_report(nh.petersen())
     assert rep.exact["h"] == 0

@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import ndlham as nh
@@ -180,10 +179,13 @@ def test_hamilton_equals_single_component_count(corpus):
         assert hist.counts.get(1, 0) == nh.hamilton_count_exact(g), name
 
 
-def test_hamilton_bigint_path_agrees():
+def test_hamilton_dp_residues():
+    # mod 3 most cells are 0 and pruned; the residues stay those of 2h
     for g in (nh.complete(7), nh.petersen(), nh.random_regular(12, 4, 5)):
         h = nh.factor_histogram(g).counts.get(1, 0)
-        assert _hamilton_dp(g, object) == _hamilton_dp(g, np.int64) == h
+        assert _hamilton_dp(g) == 2 * h
+        for q in (3, 251):
+            assert _hamilton_dp(g, q) == 2 * h % q
 
 
 def test_hamilton_matches_inclusion_exclusion():
@@ -192,7 +194,8 @@ def test_hamilton_matches_inclusion_exclusion():
     graphs += [nh.circulant(18, (1, 2, 3, 4)), nh.paley(17)]
     for g in graphs:
         h = ie_hamilton_count(g)
-        assert nh.hamilton_count_exact(g) == _hamilton_dp(g, object) == h
+        assert nh.hamilton_count_exact(g) == h
+        assert _hamilton_dp(g, 251) == 2 * h % 251
 
 
 def test_hamilton_dp_empty_layers():
@@ -205,7 +208,32 @@ def test_hamilton_dp_empty_layers():
     ]
     for g in cases:
         h = brute_hamilton_count(g)
-        assert _hamilton_dp(g, object) == _hamilton_dp(g, np.int64) == h
+        assert _hamilton_dp(g) == 2 * h
+        assert _hamilton_dp(g, 251) == 2 * h % 251
+
+
+@pytest.mark.parametrize(
+    "g, h, passes",
+    [
+        # 2h = 22! > 2^69, so only the CRT gives it; a cell holds up to
+        # 21! > 2^63 paths, so the mod-PRIME pass must reduce its sums (below
+        # n = 23 every cell is at most 20! < 2^63)
+        (nh.complete(23), math.factorial(22) // 2, 2),
+        # deg(0) (max degree - 1)^20 = 8 * 7^20 < 2^61: one int64 pass
+        (nh.circulant(22, (1, 2, 3, 4)), 11243025019, 1),
+    ],
+    ids=["K23", "circulant22"],
+)
+def test_hamilton_pass_count(monkeypatch, g, h, passes):
+    moduli = []
+
+    def counted(graph, p=None):
+        moduli.append(p)
+        return _hamilton_dp(graph, p)
+
+    monkeypatch.setattr(nh.factors, "_hamilton_dp", counted)
+    assert nh.hamilton_count_exact(g) == h
+    assert moduli == [None, nh.factors.PRIME][:passes]
 
 
 def test_hamilton_live_state_memory():
@@ -281,6 +309,10 @@ def test_near_hamilton_rejects_non_cycle():
     matching = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 2)
     with pytest.raises(InvalidParameters):
         nh.two_factors_near_hamilton(k4, matching, 1)
+    cycle = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
+    for k in (-1, 4):
+        with pytest.raises(InvalidParameters, match="0 <= k <= 3"):
+            nh.two_factors_near_hamilton(k4, cycle, k)
 
 
 def test_relabel_invariance():
