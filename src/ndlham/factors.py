@@ -14,6 +14,7 @@ layer, on int64 residues mod 2^64 and, where 2h may not fit, mod a prime.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,9 +221,10 @@ def hamilton_count_exact(g):
     """h(G) by dynamic programming over (visited-subset, endpoint) states.
 
     Paths are rooted at vertex 0 and closed back to it, so each cycle is
-    counted twice, and 2h <= B = min((n-1)!, deg(0) (max degree - 1)^(n-2)).
-    One pass gives 2h mod 2^64, which is 2h when B < 2^64; otherwise a pass
-    mod PRIME follows, and the CRT rebuilds 2h < 2^64 PRIME (> 23!).
+    counted twice, and 2h <= B = min((n-1)!, deg(0) (max degree - 1)^(n-2),
+    the Minc-Bregman bound on per(A)).  One pass gives 2h mod 2^64, which
+    is 2h when B < 2^64; otherwise a pass mod PRIME follows, and the CRT
+    rebuilds 2h < 2^64 PRIME (> 23!).
     """
     check_cap(g.n, HAMILTON_CAP, "hamilton_count_exact")
     n = g.n
@@ -230,10 +232,27 @@ def hamilton_count_exact(g):
         return 0
     bound = min(math.factorial(n - 1), g.degree(0) * (max(g.degrees) - 1) ** (n - 2))
     twice = _hamilton_dp(g)
-    if bound >= 1 << 64:
+    if bound >= 1 << 64 and not _bregman_below_2_64(g.degrees):
         lift = (_hamilton_dp(g, PRIME) - twice) * pow(1 << 64, -1, PRIME) % PRIME
         twice += lift << 64
     return twice // 2
+
+
+def _bregman_below_2_64(degrees):
+    """Whether the Minc-Bregman bound prod_i (r_i!)^(1/r_i) on per(A) is
+    below 2^64, decided in exact integers.  With c_r vertices of degree r
+    and L the least common denominator of the exponents c_r / r, that is
+    prod_r (r!)^(c_r L / r) < 2^(64 L).  A zero degree makes per(A) = 0.
+    When L exceeds 2^16, 2^(64 L) would have more than 2^22 bits, and the
+    answer is False, which can only cost an extra DP pass."""
+    counts = Counter(degrees)
+    if 0 in counts:
+        return True
+    lcd = math.lcm(*(r // math.gcd(c, r) for r, c in counts.items()))
+    if lcd > 1 << 16:
+        return False
+    top = math.prod(math.factorial(r) ** (c * lcd // r) for r, c in counts.items())
+    return top < 1 << (64 * lcd)
 
 
 def _hamilton_dp(g, p=None):

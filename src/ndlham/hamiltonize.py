@@ -86,22 +86,23 @@ def posa_close(g, path, budget):
     kind = accept(path)
     if kind:
         return kind, path, []
+    # a queue entry is (path, depth, link); link is None at the start and
+    # (rotation, parent link) below it, so each node stores one rotation
     seen = {_canon_path(path)}
-    queue = deque([(path, [])])
+    queue = deque([(path, 0, None)])
     while queue:
-        cur, rots = queue.popleft()
-        if len(rots) >= budget:
+        cur, depth, link = queue.popleft()
+        if depth >= budget:
             continue
-        for nxt, rot in _rotations(rows, cur, inside):
+        for nxt, rot in _successors(rows, cur, inside):
             key = _canon_path(nxt)
             if key in seen:
                 continue
             seen.add(key)
-            nrots = rots + [rot]
             kind = accept(nxt)
             if kind:
-                return kind, nxt, nrots
-            queue.append((nxt, nrots))
+                return kind, nxt, _unwind((rot, link))
+            queue.append((nxt, depth + 1, (rot, link)))
     return "failure", path, []
 
 
@@ -109,23 +110,29 @@ def _canon_path(p):
     return p if p[0] < p[-1] else tuple(reversed(p))
 
 
-def _rotations(rows, path, inside):
-    """All single-rotation successors, smaller pivot vertices first.
+def _successors(rows, path, inside):
+    """The single-rotation successors of ``path`` with their rotations, one
+    at a time, smaller pivot vertices first, the tail end before the head.
 
     A pivot is a path vertex adjacent to the end other than the end's own
     path neighbor; ``inside`` is the path's vertex mask.
     """
-    last = len(path) - 1
-    pos = {v: i for i, v in enumerate(path)}
-    out = []
-    for seq, flip in ((path, False), (path[::-1], True)):
+    for seq in (path, path[::-1]):
         end = seq[-1]
         for piv in _bits(rows[end] & inside & ~(1 << seq[-2])):
-            i = last - pos[piv] if flip else pos[piv]
-            nxt = seq[: i + 1] + seq[: i : -1]
+            i = seq.index(piv)
             rot = (("delete", *_e(piv, seq[i + 1])), ("insert", *_e(end, piv)))
-            out.append((nxt, rot))
-    return out
+            yield seq[: i + 1] + seq[: i : -1], rot
+
+
+def _unwind(link):
+    """The rotations on the parent links from ``link`` back to the start,
+    first rotation first."""
+    rots = []
+    while link:
+        rot, link = link
+        rots.append(rot)
+    return rots[::-1]
 
 
 def _e(u, v):
@@ -295,13 +302,16 @@ def replay(g, f, trace):
     the 2-factor and check the recorded outcome.
 
     Returns the final edge set.  Raises InconsistentTrace on any
-    discrepancy (inserting a non-edge of G, deleting an absent edge, or a
-    successful trace not ending at the recorded Hamilton cycle).
+    discrepancy (a vertex outside 0..n-1, inserting a non-edge of G,
+    deleting an absent edge, or a successful trace not ending at the
+    recorded Hamilton cycle).
     """
     validate_two_factor(g, f)
     edges = set(f.edges())
     for op, u, v in trace.trace:
         key = _e(u, v)
+        if key[0] < 0 or key[1] >= g.n:
+            raise InconsistentTrace(f"{op} names a vertex outside 0..{g.n - 1}: {key}")
         if op == "insert":
             if not g.has_edge(u, v):
                 raise InconsistentTrace(f"inserted non-edge {key}")

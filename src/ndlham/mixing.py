@@ -10,6 +10,14 @@ every e is at most n^2 < 2^53, so each partial sum is an integer that
 float64 holds exactly, whatever order BLAS adds in; the float expressions
 that follow are evaluated in the same order as the scalar formula, so each
 row gives the bit-identical defect and bound.
+
+Blocks hold at most ``_BLOCK`` rows, so one block's arrays stay in cache,
+and each generator fills the same buffers for every block it yields: a
+block is valid only until the next one is drawn.  A random k-subset is
+drawn by a sort threshold: n iid uniform keys, a sorted copy of them, and
+the columns whose key is <= the k-th smallest.  When the k-th and
+(k+1)-th smallest keys tie, which has probability below n^2 2^-54, the
+row's keys are drawn again, so every set has exactly its drawn size.
 """
 
 import math
@@ -22,7 +30,7 @@ from .errors import InvalidParameters, check_seed
 from .graph import _mask
 
 DEFECT_TOL = 1e-9
-_BLOCK = 1024  # pairs per kernel call: each block is a few 1024 x n float64 arrays
+_BLOCK = 256  # pairs per kernel call: a block's few 256 x n float64 arrays stay in cache
 
 
 def edge_count(g, s, t):
@@ -38,23 +46,17 @@ def edge_count(g, s, t):
     return sum((g.rows[v] & t_mask).bit_count() for v in set(s))
 
 
-def _defects(a, cert, s, t):
+def _defects(a, cert, s, t, sa=None):
     """Per-row (e, |e - (d/n)|S||T||, lambda*sqrt(|S||T|)) of the 0/1 blocks
     s and t against the float64 adjacency matrix a; e is exact (see the
-    module docstring)."""
-    e = np.einsum("ij,ij->i", s @ a, t)
+    module docstring).  ``sa``, if given, is a buffer of s's shape that
+    receives s @ a."""
+    e = np.einsum("ij,ij->i", np.matmul(s, a, out=sa), t)
     size_s, size_t = s.sum(axis=1), t.sum(axis=1)
     expected = cert.d / cert.n * size_s * size_t
     defect = np.abs(e - expected)
     bound = cert.lam * np.sqrt(size_s * size_t)
     return e, defect, bound
-
-
-def _membership(n, cols, values=1.0):
-    """k x n block with ``values`` put at ``cols[i]`` of row i."""
-    m = np.zeros((len(cols), n))
-    np.put_along_axis(m, cols, values, axis=1)
-    return m
 
 
 def mixing_defect(g, cert, s, t):
@@ -89,36 +91,64 @@ class MixingReport:
 def _battery(n):
     """(S, T) blocks of the seed-independent pairs, in order: all n^2
     singleton pairs ({i}, {j}) row-major, the full pair (V, V), then every
-    (S, S) with 2 <= |S| <= 4 when n <= 16, else |S| = 2, lexicographic."""
+    (S, S) with 2 <= |S| <= 4 when n <= 16, else |S| = 2, lexicographic.
+    The blocks share buffers: each is valid only until the next is drawn."""
     eye = np.eye(n)
+    s, t = np.empty((2, _BLOCK, n))
     for start in range(0, n * n, _BLOCK):
         p = np.arange(start, min(start + _BLOCK, n * n))
-        yield eye[p // n], eye[p % n]
+        k = len(p)
+        np.take(eye, p // n, axis=0, out=s[:k])
+        np.take(eye, p % n, axis=0, out=t[:k])
+        yield s[:k], t[:k]
     full = np.ones((1, n))
     yield full, full
     for size in range(2, (4 if n <= 16 else 2) + 1):
         combos = combinations(range(n), size)
         while chunk := list(islice(combos, _BLOCK)):
-            s = _membership(n, np.array(chunk))
-            yield s, s
+            k = len(chunk)
+            s[:k] = 0.0
+            s[np.arange(k)[:, None], chunk] = 1.0
+            yield s[:k], s[:k]
+
+
+def _subsets(rng, sizes, keys, srt, out):
+    """Set row i of the 0/1 block ``out`` to the sizes[i] columns of row i
+    of ``keys`` with the smallest keys: those <= the sizes[i]-th smallest,
+    found in ``srt``, a sorted copy.  A row whose sizes[i]-th and
+    (sizes[i]+1)-th smallest keys tie would get more columns, so its keys
+    are drawn again from ``rng`` until they do not tie."""
+    n = keys.shape[1]
+    rows = np.arange(len(sizes))
+    nxt = np.minimum(sizes, n - 1)  # a row with sizes[i] = n cannot tie
+    while True:
+        np.copyto(srt, keys)
+        srt.sort(axis=1)
+        thresh = srt[rows, sizes - 1]
+        tied = (sizes < n) & (srt[rows, nxt] == thresh)
+        if not tied.any():
+            break
+        keys[tied] = rng.random((np.count_nonzero(tied), n))
+    np.less_equal(keys, thresh[:, None], out=out)
 
 
 def _sample_blocks(n, count, seed):
     """(S, T) blocks of ``count`` random pairs from
     ``np.random.default_rng(seed)``.  Per block of b pairs: |S| and |T| are
-    drawn uniform on 1..n, then each set is the first |S| (|T|) entries of a
-    uniformly random permutation of 0..n-1 (argsort of b x n iid uniform
-    keys), so it is a uniform subset of its size."""
+    drawn uniform on 1..n, then each set is the columns of a row of b x n
+    iid uniform keys that are <= the row's |S|-th (|T|-th) smallest key, so
+    it is a uniform subset of its size; ``_subsets`` redraws a row whose
+    threshold ties.  The blocks share buffers: each is valid only until the
+    next is drawn."""
     rng = np.random.default_rng(seed)
-    cols = np.arange(n)
-
-    def subsets(sizes):
-        order = rng.random((len(sizes), n)).argsort(axis=1)
-        return _membership(n, order, (cols < sizes[:, None]).astype(float))
-
+    keys, srt, s, t = np.empty((4, _BLOCK, n))
     for start in range(0, count, _BLOCK):
-        size_s, size_t = rng.integers(1, n + 1, size=(2, min(_BLOCK, count - start)))
-        yield subsets(size_s), subsets(size_t)
+        k = min(_BLOCK, count - start)
+        size_s, size_t = rng.integers(1, n + 1, size=(2, k))
+        for sizes, out in ((size_s, s[:k]), (size_t, t[:k])):
+            rng.random(out=keys[:k])
+            _subsets(rng, sizes, keys[:k], srt[:k], out)
+        yield s[:k], t[:k]
 
 
 def verify_mixing(g, cert, sample_count=1000, seed=0):
@@ -142,10 +172,11 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     check_seed(seed, "verify_mixing: seed")
     n = g.n
     a = g.adjacency_matrix()
+    sa = np.empty((_BLOCK, n))
     checked, violations = 0, 0
     worst, worst_pair = 0.0, ([], [])
     for s, t in chain(_battery(n), _sample_blocks(n, sample_count, seed)):
-        _, defect, bound = _defects(a, cert, s, t)
+        _, defect, bound = _defects(a, cert, s, t, sa[: len(s)])
         with np.errstate(divide="ignore", invalid="ignore"):
             norm = np.where(bound > 0, defect / bound, np.where(defect <= DEFECT_TOL, 0.0, np.inf))
         i = int(np.argmax(norm))

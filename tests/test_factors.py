@@ -212,6 +212,23 @@ def test_hamilton_dp_empty_layers():
         assert _hamilton_dp(g, 251) == 2 * h % 251
 
 
+def complement(g):
+    full = (1 << g.n) - 1
+    return nh.graph.Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+
+
+def test_bregman_below_2_64():
+    below = nh.factors._bregman_below_2_64
+    # (17!)^(22/17) is 2^62.55, (18!)^(22/18) 2^64.18
+    assert below([17] * 22) and not below([18] * 22)
+    # three 17s and nineteen 18s give 2^63.96 (L = 306), two and twenty
+    # 2^64.03 (L = 153)
+    assert below([17] * 3 + [18] * 19) and not below([17] * 2 + [18] * 20)
+    assert below([0, 23, 23])  # a zero row makes per(A) = 0
+    # distinct degrees 1..23 have a common denominator over 2^16: no answer
+    assert not below(list(range(1, 24)) + [1])
+
+
 @pytest.mark.parametrize(
     "g, h, passes",
     [
@@ -221,8 +238,11 @@ def test_hamilton_dp_empty_layers():
         (nh.complete(23), math.factorial(22) // 2, 2),
         # deg(0) (max degree - 1)^20 = 8 * 7^20 < 2^61: one int64 pass
         (nh.circulant(22, (1, 2, 3, 4)), 11243025019, 1),
+        # 17-regular: min(21!, 17 * 16^20) > 2^64, but Bregman (17!)^(22/17) < 2^62.6:
+        # h is what the two-pass CRT gives
+        (complement(nh.random_regular(22, 4, 0)), 246102495956955897, 1),
     ],
-    ids=["K23", "circulant22"],
+    ids=["K23", "circulant22", "complement-rr22"],
 )
 def test_hamilton_pass_count(monkeypatch, g, h, passes):
     moduli = []

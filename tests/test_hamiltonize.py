@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import math
 
@@ -178,6 +179,21 @@ def test_replay_rejects_corrupt_trace():
     bad2 = dataclasses.replace(tr, trace=(("insert", 0, 2),))  # non-edge of Petersen
     with pytest.raises(InconsistentTrace):
         nh.replay(pet, fp, bad2)
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+@pytest.mark.parametrize("v", [-1, 6])
+def test_replay_rejects_out_of_range_vertex(op, v):
+    # a failed trace is still audited: -1 must not index the last row, and
+    # 6 = n must not raise IndexError
+    k6 = nh.complete(6)
+    f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
+    tr = nh.two_factor_to_hamilton(k6, f, nh.certify(k6))
+    bad = dataclasses.replace(tr, success=False, trace=((op, v, 3),))
+    with pytest.raises(InconsistentTrace, match="outside 0..5"):
+        nh.replay(k6, f, bad)
+    with pytest.raises(InconsistentTrace, match="outside 0..5"):
+        nh.replay(k6, f, dataclasses.replace(bad, trace=((op, 3, v),)))
 
 
 def test_replay_rejects_wrong_factor():

@@ -153,6 +153,51 @@ def test_sampler_sizes_and_subsets_uniform():
         assert abs(seen - expected) < 0.25 * expected, (subset, seen, expected)
 
 
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_sampler_block_sizes(delta):
+    # a count just below, at and just above one block; the sizes are
+    # replayed from the same generator: per block |S| and |T|, then the
+    # keys of S and of T
+    n, seed = 12, 4
+    block = nh.mixing._BLOCK
+    count = block + delta
+    rng = np.random.default_rng(seed)
+    rows = 0
+    for s, t in nh.mixing._sample_blocks(n, count, seed):
+        k = len(s)
+        assert k == min(block, count - rows)
+        sizes = rng.integers(1, n + 1, size=(2, k))
+        rng.random((2, k, n))
+        for got, want in zip((s, t), sizes):
+            assert set(np.unique(got)) <= {0.0, 1.0}
+            assert got.sum(axis=1).tolist() == want.tolist()
+        rows += k
+    assert rows == count
+    g = nh.random_regular(n, 4, 0)
+    rep = nh.verify_mixing(g, nh.certify(g), sample_count=count, seed=seed)
+    assert rep.pairs_checked == len(_battery_pairs(n)) + count
+
+
+def test_sampler_threshold_tie_redrawn():
+    # row 0 ties at its threshold (the 3rd and 4th smallest keys are 0.5),
+    # row 1 ties only below it, row 2 takes every column, row 3 ties at
+    # |S| = 1
+    keys = np.array([
+        [0.5, 0.1, 0.5, 0.9, 0.3, 0.7],
+        [0.2, 0.2, 0.4, 0.6, 0.8, 0.9],
+        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [0.3, 0.3, 0.6, 0.7, 0.8, 0.9],
+    ])
+    sizes = np.array([3, 3, 6, 1])
+    given = keys.copy()
+    out = np.empty_like(keys)
+    nh.mixing._subsets(np.random.default_rng(0), sizes, keys, np.empty_like(keys), out)
+    assert out.sum(axis=1).tolist() == sizes.tolist()
+    assert out[1].tolist() == [1, 1, 1, 0, 0, 0] and out[2].tolist() == [1] * 6
+    assert (keys[[1, 2]] == given[[1, 2]]).all()
+    assert (keys[[0, 3]] != given[[0, 3]]).all(axis=1).all()  # redrawn
+
+
 def test_verify_mixing_rejects_bad_seed():
     g = nh.petersen()
     cert = nh.certify(g)
