@@ -14,6 +14,7 @@ usage errors.
 
 import argparse
 import json
+import random
 import sys
 
 from . import experiments, factors, graph, hamiltonize, mixing, permanent, spectral
@@ -113,8 +114,6 @@ def _cmd_phi(args):
 
 
 def _cmd_hamiltonize(args):
-    import random
-
     check_seed(args.factor_seed, "hamiltonize: --factor-seed")
     g = _load_graph(args.input)
     cert = spectral.certify(g)

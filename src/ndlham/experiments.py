@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass
 
 from . import factors, mixing, permanent, spectral
-from .errors import InvalidParameters, NotRegular, TooLarge, check_seed
-from .graph import from_edges
+from .errors import GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed
+from .graph import from_edges, random_regular
 
 LOG_SLACK = 1e-9
 
@@ -262,8 +262,7 @@ def monte_carlo_gnp(n, p, trials, seed=0):
     int.
     """
     check_seed(seed, "monte_carlo_gnp: seed")
-    if n > 14:
-        raise TooLarge("monte_carlo_gnp: n <= 14 required")
+    check_cap(n, 14, "monte_carlo_gnp")
     if trials < 1 or not 0 <= p <= 1:
         raise InvalidParameters("monte_carlo_gnp: trials >= 1 and 0 <= p <= 1 required")
     total = 0
@@ -280,9 +279,6 @@ def theorem_trend(ns=range(10, 21, 2), ds=(4, 6), seed=0):
     """Trend table for the main counting estimate: h(G)^(1/n) against
     (n!)^(1/n) d/n over random regular graphs.  Diagnostic only; there is
     no finite-n pass/fail."""
-    from .errors import GenerationTimeout
-    from .graph import random_regular
-
     check_seed(seed, "theorem_trend: seed")
     rows = []
     for d in ds:

@@ -5,17 +5,20 @@ is partitioned into components, each a single edge or a graph cycle of
 length >= 3.  Every component of length >= 3 contributes a factor of two in
 the permanent expansion (its two orientations), which is what makes the
 ``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
-One component walk, ``_components``, serves both the 2-factor list and the
-histogram: it lists the edges and canonical cycles through the lowest free
-vertex.  Both memoize on the free-vertex mask, the histogram its generating
-functions and the enumerator its list of covers.  Hamilton cycles are
-counted by the Held-Karp subset DP over the live subsets of each popcount
-layer, on int64 residues mod 2^64 and, where 2h may not fit, mod a prime.
+One component walk, ``_components``, lists the edges and canonical cycles
+through the lowest free vertex.  The enumerator memoizes each free mask's
+list of covers, read by the near-Hamilton counts for any k >= 0; one cover
+table memoizes the generating functions of G[X] for every mask X, read by
+the histogram and by ``phi``.  All of them run up to ENUM_CAP vertices.
+Hamilton cycles are counted by the Held-Karp subset DP over the live subsets
+of each popcount layer, on int64 residues mod 2^64 and, where 2h may not
+fit, mod a prime.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -25,8 +28,6 @@ from .graph import _bits
 ENUM_CAP = 16
 HAMILTON_CAP = 24
 MATCHING_CAP = 30
-PHI_CAP = 14
-NEAR_CAP = 12
 PRIME = 2**58 - 27  # a sum of n - 2 <= 22 residues stays below 2^63
 
 
@@ -165,46 +166,52 @@ class FactorHistogram:
         }
 
 
-def factor_histogram(g):
-    """Count the 2-factors by component count s, plain and 2^c(F)-weighted.
+class _CoverTable:
+    """The memoized cover walk of one graph: ``covers(X)`` returns the count
+    and the weight of the 2-factors of G[X] for any vertex mask X, since
+    ``_components`` reads only ``rows[v] & free``.  Both are generating
+    functions in x = 2^B, packed into one Python int each, with the
+    coefficient of x^s belonging to s components.  Every coefficient is at
+    most per(A) <= n! < 2^B, so the slots never carry into each other.  A
+    component shifts its remainder's pair by B, and a cycle of length >= 3
+    doubles the weight."""
 
-    Both are generating functions in x = 2^B, memoized on the free mask and
-    packed into one Python int each: the cover count and the weight of the
-    covers of a free set, with the coefficient of x^s belonging to s
-    components.  Every coefficient is at most per(A) <= n! < 2^B, so the
-    slots never carry into each other.  A component shifts its remainder's
-    pair by B, and a cycle of length >= 3 doubles the weight.
-    """
-    check_cap(g.n, ENUM_CAP, "factor_histogram")
-    n = g.n
-    rows = g.rows
-    width = math.factorial(n).bit_length()
-    memo = {0: (1, 1)}
+    def __init__(self, g):
+        self.rows = g.rows
+        self.width = math.factorial(g.n).bit_length()
+        self.memo = {0: (1, 1)}
 
-    def covers(free):
-        hit = memo.get(free)
+    def covers(self, free):
+        hit = self.memo.get(free)
         if hit is not None:
             return hit
         acc = [0, 0]
+        covers = self.covers
 
         def visit(comp, rest):
             count, weight = covers(rest)
             acc[0] += count
             acc[1] += weight << (len(comp) > 2)
 
-        _components(rows, free, visit)
-        memo[free] = pair = (acc[0] << width, acc[1] << width)
+        _components(self.rows, free, visit)
+        self.memo[free] = pair = (acc[0] << self.width, acc[1] << self.width)
         return pair
 
-    count, weight = covers((1 << n) - 1)
-    memo.clear()  # the closures form a cycle; free the memo now, not at GC
-    slot = (1 << width) - 1
-    counts, weighted_by_s = {}, {}
-    for s in range(n + 1):
-        c = count >> s * width & slot
-        if c:
-            counts[s] = c
-            weighted_by_s[s] = weight >> s * width & slot
+    def slots(self, packed, size):
+        """The coefficients of x^0 .. x^size of a packed generating function."""
+        slot = (1 << self.width) - 1
+        return [packed >> s * self.width & slot for s in range(size + 1)]
+
+
+def factor_histogram(g):
+    """Count the 2-factors by component count s, plain and 2^c(F)-weighted,
+    from the cover table's generating functions of the full vertex mask."""
+    check_cap(g.n, ENUM_CAP, "factor_histogram")
+    table = _CoverTable(g)
+    count, weight = table.covers((1 << g.n) - 1)
+    # a weight slot is zero exactly where its count slot is
+    counts = {s: c for s, c in enumerate(table.slots(count, g.n)) if c}
+    weighted_by_s = {s: w for s, w in enumerate(table.slots(weight, g.n)) if w}
     return FactorHistogram(
         counts=counts,
         total=sum(counts.values()),
@@ -365,37 +372,34 @@ def perfect_matching_count(g):
 
 
 def phi(g, k):
-    """Maximum 2-factor count over all induced k-vertex subgraphs."""
+    """Maximum 2-factor count over all induced k-vertex subgraphs, n <= ENUM_CAP."""
     return phi_argmax(g, k)[0]
 
 
 def phi_argmax(g, k):
-    """(max f(G[V0]), one maximizing V0) over k-subsets."""
-    from itertools import combinations
-
+    """(max f(G[V0]), the first maximizing V0) over the k-subsets in
+    ``combinations`` order, each read from one shared cover table."""
     if not 2 <= k <= g.n:
         raise InvalidParameters("phi: 2 <= k <= n required")
-    check_cap(g.n, PHI_CAP, "phi")
+    check_cap(g.n, ENUM_CAP, "phi")
+    table = _CoverTable(g)
     best, best_set = -1, None
     for subset in combinations(range(g.n), k):
-        val = factor_histogram(g.induced(subset)).total
+        count, _ = table.covers(sum(1 << v for v in subset))
+        val = sum(table.slots(count, k))
         if val > best:
             best, best_set = val, subset
     return best, best_set
 
 
 def two_factors_near_hamilton(g, h, k):
-    """Number of 2-factors within k edge replacements of the Hamilton cycle
-    h: those obtainable by deleting at most k cycle edges and re-tailoring,
-    i.e. |E(H) \\ E(F)| <= k."""
-    if not 0 <= k <= 3:
-        raise InvalidParameters("two_factors_near_hamilton: 0 <= k <= 3 required")
-    check_cap(g.n, NEAR_CAP, "two_factors_near_hamilton")
+    """Number of 2-factors F within k edge replacements of the Hamilton cycle
+    h, i.e. |E(H) \\ E(F)| <= k, for any integer k >= 0 (k >= n counts every
+    2-factor), over ``enumerate_two_factors``, n <= ENUM_CAP."""
+    if k < 0:
+        raise InvalidParameters("two_factors_near_hamilton: k >= 0 required")
+    check_cap(g.n, ENUM_CAP, "two_factors_near_hamilton")
     if h.num_components != 1 or not is_hamilton_cycle(g, h.components[0]):
         raise InvalidParameters("two_factors_near_hamilton: H is not a Hamilton cycle")
     h_edges = h.edges()
-    count = 0
-    for f in enumerate_two_factors(g):
-        if len(h_edges - f.edges()) <= k:
-            count += 1
-    return count
+    return sum(len(h_edges - f.edges()) <= k for f in enumerate_two_factors(g))

@@ -27,7 +27,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import InvalidParameters, check_seed
-from .graph import _mask
+from .graph import _bits, _mask
 
 DEFECT_TOL = 1e-9
 _BLOCK = 256  # pairs per kernel call: a block's few 256 x n float64 arrays stay in cache
@@ -199,7 +199,7 @@ def external_neighborhood(g, x):
     for v in x:
         nm |= g.rows[v]
     nm &= ~xm
-    return [v for v in range(g.n) if nm >> v & 1]
+    return _bits(nm)
 
 
 def expansion_check(g, cert, x):

@@ -156,6 +156,17 @@ def brute_two_factors(g):
     return out
 
 
+def induced_phi(g, k):
+    """(max f(G[S]), the first maximizing S) over the k-subsets S in
+    ``combinations`` order, from a fresh histogram of each induced graph."""
+    best, best_set = -1, None
+    for subset in itertools.combinations(range(g.n), k):
+        val = nh.factor_histogram(g.induced(subset)).total
+        if val > best:
+            best, best_set = val, subset
+    return best, best_set
+
+
 def set_bits(x):
     """Indices of the set bits of x, ascending."""
     return [i for i in range(x.bit_length()) if x >> i & 1]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import ndlham as nh
-from ndlham.errors import InvalidParameters, NotRegular
+from ndlham.errors import InvalidParameters, NotRegular, TooLarge
 
 
 def test_bounds_report_k4():
@@ -152,6 +152,11 @@ def test_monte_carlo_degenerate():
 def test_monte_carlo_converges():
     res = nh.monte_carlo_gnp(8, 0.5, trials=2000, seed=1)
     assert 0.8 <= res["ratio"] <= 1.25
+
+
+def test_monte_carlo_cap():
+    with pytest.raises(TooLarge, match="exceeds size cap 14"):
+        nh.monte_carlo_gnp(15, 0.5, trials=1, seed=0)
 
 
 def test_monte_carlo_deterministic():

@@ -6,13 +6,14 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters, TooLarge
-from ndlham.factors import _hamilton_dp, is_hamilton_cycle, validate_two_factor
+from ndlham.factors import _hamilton_dp, is_hamilton_cycle, phi_argmax, validate_two_factor
 from conftest import (
     backtrack_two_factors,
     brute_hamilton_count,
     brute_matching_count,
     brute_two_factors,
     ie_hamilton_count,
+    induced_phi,
 )
 
 
@@ -304,6 +305,33 @@ def test_matching_matches_brute(corpus):
         assert nh.perfect_matching_count(g) == brute_matching_count(g), name
 
 
+def test_matchings_are_half_n_factors(corpus):
+    # a 2-factor with n/2 components has only edge components
+    graphs = [(name, g) for name, g in corpus if g.n % 2 == 0]
+    graphs += [(f"rr(16,4,{s})", nh.random_regular(16, 4, s)) for s in (0, 1)]
+    for name, g in graphs:
+        hist = nh.factor_histogram(g)
+        m = nh.perfect_matching_count(g)
+        assert hist.counts.get(g.n // 2, 0) == m, name
+        assert hist.weighted_by_s.get(g.n // 2, 0) == m, name
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (nh.paley(13), 11),
+        (nh.random_regular(14, 4, 0), 7),
+        (nh.random_regular(14, 4, 0), 12),
+        (nh.random_regular(14, 4, 0), 13),
+        (nh.random_regular(12, 6, 0), 10),
+        (nh.random_regular(16, 4, 0), 15),
+    ],
+    ids=["paley13-11", "rr14-7", "rr14-12", "rr14-13", "rr12-6-10", "rr16-15"],
+)
+def test_phi_matches_induced_histograms(g, k):
+    assert phi_argmax(g, k) == induced_phi(g, k)
+
+
 def test_phi_examples():
     k4 = nh.complete(4)
     assert nh.phi(k4, 4) == 6
@@ -324,15 +352,25 @@ def test_near_hamilton_counts():
     assert nh.two_factors_near_hamilton(k5, h5, 1) <= 5 * 4**2
 
 
+def test_near_hamilton_matches_brute_distances(corpus):
+    rr8 = next(g for name, g in corpus if name.startswith("rr(n=8,"))
+    for g in (nh.complete(5), nh.complete(6), rr8):
+        h = next(f for f in nh.enumerate_two_factors(g) if f.num_components == 1)
+        h_edges = h.edges()
+        distances = [len(h_edges - f) for f in brute_two_factors(g)]
+        for k in range(g.n + 1):
+            expected = sum(dist <= k for dist in distances)
+            assert nh.two_factors_near_hamilton(g, h, k) == expected, (g.n, k)
+
+
 def test_near_hamilton_rejects_non_cycle():
     k4 = nh.complete(4)
     matching = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 2)
     with pytest.raises(InvalidParameters):
         nh.two_factors_near_hamilton(k4, matching, 1)
     cycle = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
-    for k in (-1, 4):
-        with pytest.raises(InvalidParameters, match="0 <= k <= 3"):
-            nh.two_factors_near_hamilton(k4, cycle, k)
+    with pytest.raises(InvalidParameters, match="k >= 0"):
+        nh.two_factors_near_hamilton(k4, cycle, -1)
 
 
 def test_relabel_invariance():
@@ -356,6 +394,17 @@ def test_caps():
         nh.enumerate_two_factors(big)
     with pytest.raises(TooLarge):
         nh.factor_histogram(big)
+    with pytest.raises(TooLarge):
+        nh.phi(big, 2)
+    with pytest.raises(TooLarge):
+        nh.two_factors_near_hamilton(big, nh.TwoFactor((tuple(range(17)),)), 0)
+    # n = 16 is within the cap: C16 has its cycle and two perfect matchings
+    c16 = nh.cycle(16)
+    h = nh.TwoFactor((tuple(range(16)),))
+    assert nh.phi(c16, 16) == 3
+    assert nh.phi(c16, 8) == 1
+    assert nh.two_factors_near_hamilton(c16, h, 0) == 1
+    assert nh.two_factors_near_hamilton(c16, h, 16) == 3
 
 
 def test_histogram_json():
