@@ -1,5 +1,6 @@
 """Exception types shared across the package, the size-cap guard of the
-exponential-time operations and the seed guard of the seeded ones."""
+exponential-time operations, the seed guard of the seeded ones and the
+guard that a certificate belongs to the graph it is used with."""
 
 from numbers import Integral
 
@@ -48,3 +49,11 @@ def check_seed(seed, what):
     random.Random takes abs(seed), so -1 would silently act as 1."""
     if not isinstance(seed, Integral) or seed < 0:
         raise InvalidParameters(f"{what} must be a non-negative integer, got {seed!r}")
+
+
+def check_certificate(g, cert, what):
+    """Raise InvalidParameters unless ``cert`` was made for a graph on as
+    many vertices as ``g``: another graph's d and lambda would silently set
+    the bounds and budgets computed for g."""
+    if cert.n != g.n:
+        raise InvalidParameters(f"{what}: certificate is for n={cert.n}, graph has n={g.n}")

@@ -9,7 +9,9 @@ the bound lambda*sqrt(|S||T|).  Every entry of S @ A is |N(v) ∩ S| <= n and
 every e is at most n^2 < 2^53, so each partial sum is an integer that
 float64 holds exactly, whatever order BLAS adds in; the float expressions
 that follow are evaluated in the same order as the scalar formula, so each
-row gives the bit-identical defect and bound.
+row gives the bit-identical defect and bound.  The n^2 singleton pairs and
+the (S,S) pairs with |S| = 2 skip the product: their e is A[i,j] or
+2 A[i,j], read from A, and the same float expressions follow.
 
 Blocks hold at most ``_BLOCK`` rows, so one block's arrays stay in cache,
 and each generator fills the same buffers for every block it yields: a
@@ -22,11 +24,11 @@ row's keys are drawn again, so every set has exactly its drawn size.
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InvalidParameters, check_seed
+from .errors import InvalidParameters, check_certificate, check_seed
 from .graph import _bits, _mask
 
 DEFECT_TOL = 1e-9
@@ -52,16 +54,21 @@ def _defects(a, cert, s, t, sa=None):
     module docstring).  ``sa``, if given, is a buffer of s's shape that
     receives s @ a."""
     e = np.einsum("ij,ij->i", np.matmul(s, a, out=sa), t)
-    size_s, size_t = s.sum(axis=1), t.sum(axis=1)
+    return (e, *_judge(cert, e, s.sum(axis=1), t.sum(axis=1)))
+
+
+def _judge(cert, e, size_s, size_t):
+    """(|e - (d/n)|S||T||, lambda*sqrt(|S||T|)) from e and the set sizes,
+    given per row or as one float for every row, in the scalar formula's
+    float order."""
     expected = cert.d / cert.n * size_s * size_t
-    defect = np.abs(e - expected)
-    bound = cert.lam * np.sqrt(size_s * size_t)
-    return e, defect, bound
+    return np.abs(e - expected), cert.lam * np.sqrt(size_s * size_t)
 
 
 def mixing_defect(g, cert, s, t):
     """(e(S,T), |e - (d/n)|S||T||, lambda*sqrt(|S||T|)) for one pair: a
     one-row call of the kernel ``verify_mixing`` runs."""
+    check_certificate(g, cert, "mixing_defect")
     if not s or not t:
         raise InvalidParameters("mixing_defect: sets must be nonempty")
     _mask(s, g.n)  # range validation
@@ -88,22 +95,45 @@ class MixingReport:
         }
 
 
-def _battery(n):
-    """(S, T) blocks of the seed-independent pairs, in order: all n^2
-    singleton pairs ({i}, {j}) row-major, the full pair (V, V), then every
-    (S, S) with 2 <= |S| <= 4 when n <= 16, else |S| = 2, lexicographic.
-    The blocks share buffers: each is valid only until the next is drawn."""
-    eye = np.eye(n)
-    s, t = np.empty((2, _BLOCK, n))
-    for start in range(0, n * n, _BLOCK):
-        p = np.arange(start, min(start + _BLOCK, n * n))
-        k = len(p)
-        np.take(eye, p // n, axis=0, out=s[:k])
-        np.take(eye, p % n, axis=0, out=t[:k])
-        yield s[:k], t[:k]
+def _pair_blocks(a, cert, sample_count, seed):
+    """(defect, bound, pair) per block of pairs, in order: all n^2 singleton
+    pairs ({i}, {j}) row-major, the full pair (V, V), every (S, S) with
+    |S| = 2, then with 3 <= |S| <= 4 when n <= 16, lexicographic, then the
+    ``sample_count`` pairs of ``_sample_blocks``.  ``pair(i)`` gives the
+    block's i-th pair as (sorted S, sorted T) and is valid only until the
+    next block is drawn.
+
+    e({i},{j}) = A[i,j] and e({i,j},{i,j}) = 2 A[i,j], so those pairs are
+    read from A; every other block goes through the kernel ``_defects``.
+    """
+    n = len(a)
+    sa = np.empty((_BLOCK, n))
+    yield (*_judge(cert, a.ravel(), 1.0, 1.0), lambda i: ([i // n], [i % n]))
     full = np.ones((1, n))
-    yield full, full
-    for size in range(2, (4 if n <= 16 else 2) + 1):
+    yield from _kernel(a, cert, [(full, full)], sa)
+    if n > 1:
+        two = np.array(list(combinations(range(n), 2)))
+        yield (*_judge(cert, 2.0 * a[two[:, 0], two[:, 1]], 2.0, 2.0),
+               lambda i: (two[i].tolist(), two[i].tolist()))
+    if n <= 16:
+        yield from _kernel(a, cert, _same_sets(n, (3, 4)), sa)
+    yield from _kernel(a, cert, _sample_blocks(n, sample_count, seed), sa)
+
+
+def _kernel(a, cert, blocks, sa):
+    """(defect, bound, pair) of each (S, T) block of ``blocks`` by
+    ``_defects``, with ``sa`` as its s @ a buffer."""
+    for s, t in blocks:
+        _, defect, bound = _defects(a, cert, s, t, sa[: len(s)])
+        yield defect, bound, lambda i, s=s, t=t: (
+            np.flatnonzero(s[i]).tolist(), np.flatnonzero(t[i]).tolist())
+
+
+def _same_sets(n, sizes):
+    """(S, S) blocks of every S with |S| in ``sizes``, lexicographic.  The
+    blocks share a buffer: each is valid only until the next is drawn."""
+    s = np.empty((_BLOCK, n))
+    for size in sizes:
         combos = combinations(range(n), size)
         while chunk := list(islice(combos, _BLOCK)):
             k = len(chunk)
@@ -161,30 +191,27 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     battery matters for refutation: an understated lambda shows up first
     on sparse or dense small sets that uniform sampling almost never hits.
 
-    Pairs go through the kernel ``_defects`` in blocks of ``_BLOCK`` rows.
-    The normalised defect is defect/bound, or, where the bound is 0, 0.0 for
-    a defect within DEFECT_TOL and inf otherwise.  ``worst_pair`` is the
-    first pair, in battery-then-sample order, whose normalised defect is the
-    largest positive one.
+    Pairs come in blocks from ``_pair_blocks``.  The normalised defect is
+    defect/bound, or, where the bound is 0, 0.0 for a defect within
+    DEFECT_TOL and inf otherwise.  ``worst_pair`` is the first pair, in
+    battery-then-sample order, whose normalised defect is the largest
+    positive one.
     """
+    check_certificate(g, cert, "verify_mixing")
     if sample_count < 1:
         raise InvalidParameters("verify_mixing: sample_count >= 1 required")
     check_seed(seed, "verify_mixing: seed")
-    n = g.n
-    a = g.adjacency_matrix()
-    sa = np.empty((_BLOCK, n))
     checked, violations = 0, 0
     worst, worst_pair = 0.0, ([], [])
-    for s, t in chain(_battery(n), _sample_blocks(n, sample_count, seed)):
-        _, defect, bound = _defects(a, cert, s, t, sa[: len(s)])
+    for defect, bound, pair in _pair_blocks(g.adjacency_matrix(), cert, sample_count, seed):
         with np.errstate(divide="ignore", invalid="ignore"):
             norm = np.where(bound > 0, defect / bound, np.where(defect <= DEFECT_TOL, 0.0, np.inf))
         i = int(np.argmax(norm))
         if norm[i] > worst:
             worst = float(norm[i])
-            worst_pair = (np.flatnonzero(s[i]).tolist(), np.flatnonzero(t[i]).tolist())
+            worst_pair = pair(i)
         violations += int(np.count_nonzero(defect > bound + DEFECT_TOL))
-        checked += len(s)
+        checked += len(defect)
     return MixingReport(
         pairs_checked=checked,
         max_normalized_defect=worst,
@@ -205,6 +232,7 @@ def external_neighborhood(g, x):
 def expansion_check(g, cert, x):
     """Small-set expansion |N(X)| >= (d-2*lam)^2/(3*lam^2) * |X|, applicable
     only when |X| <= lam^2 * n / d^2."""
+    check_certificate(g, cert, "expansion_check")
     if not x:
         raise InvalidParameters("expansion_check: X must be nonempty")
     lam, d, n = cert.lam, cert.d, cert.n
@@ -216,6 +244,7 @@ def expansion_check(g, cert, x):
 
 def large_sets_edge(g, cert, x, y):
     """There is an edge between disjoint sets larger than lam*n/d each."""
+    check_certificate(g, cert, "large_sets_edge")
     xs, ys = set(x), set(y)
     if xs & ys:
         raise InvalidParameters("large_sets_edge: sets must be disjoint")

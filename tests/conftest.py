@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ndlham as nh
+from ndlham.errors import InconsistentTrace
 
 
 def random_regular_corpus():
@@ -228,6 +229,38 @@ def two_factor_from_components(components):
     """The TwoFactor with these components, each in canonical form, in
     sorted order."""
     return nh.TwoFactor(tuple(sorted(canonical_component(c) for c in components)))
+
+
+def set_replay(g, f, trace):
+    """The trace audit on a set of (u, v) edge tuples that
+    ``hamiltonize.replay`` replaced with bitset rows: the same checks in the
+    same order, with the same messages, and the same final edge set."""
+    nh.factors.validate_two_factor(g, f)
+    edges = set(f.edges())
+    for op, u, v in trace.trace:
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0 or key[1] >= g.n:
+            raise InconsistentTrace(f"{op} names a vertex outside 0..{g.n - 1}: {key}")
+        if op == "insert":
+            if not g.has_edge(u, v):
+                raise InconsistentTrace(f"inserted non-edge {key}")
+            if key in edges:
+                raise InconsistentTrace(f"inserted already-present edge {key}")
+            edges.add(key)
+        elif op == "delete":
+            if key not in edges:
+                raise InconsistentTrace(f"deleted absent edge {key}")
+            edges.remove(key)
+        else:
+            raise InconsistentTrace(f"unknown op {op!r}")
+    if trace.success:
+        cyc = trace.hamilton_cycle
+        if not nh.factors.is_hamilton_cycle(g, list(cyc)):
+            raise InconsistentTrace("recorded cycle is not a Hamilton cycle")
+        want = {tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))}
+        if edges != want:
+            raise InconsistentTrace("replayed edge set differs from recorded cycle")
+    return edges
 
 
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import ndlham as nh
-from conftest import two_factor_from_components
+from conftest import set_replay, two_factor_from_components
 from ndlham.errors import InconsistentTrace, InvalidParameters
 from ndlham.hamiltonize import merge_budget
 
@@ -143,6 +143,16 @@ def test_traces_pinned():
     assert h.hexdigest() == (
         "0e5215d04ed648dbabf67232547c8473818d623aa8d611b51b33d29fef934a06"
     )
+    # the factor-sweep benchmark graph: 8,521 2-factors, digest taken from
+    # the engine before its rewrite into one function over masks
+    h = hashlib.sha256()
+    g = nh.random_regular(16, 4, 0)
+    cert = nh.certify(g)
+    for f in nh.enumerate_two_factors(g):
+        h.update(repr((f.components, nh.two_factor_to_hamilton(g, f, cert))).encode())
+    assert h.hexdigest() == (
+        "f90797716dd05d6c1886b7a53efbb04c8f298e7069778acc1938255dca21bbdb"
+    )
 
 
 def test_budget_formula():
@@ -194,6 +204,47 @@ def test_replay_rejects_out_of_range_vertex(op, v):
         nh.replay(k6, f, bad)
     with pytest.raises(InconsistentTrace, match="outside 0..5"):
         nh.replay(k6, f, dataclasses.replace(bad, trace=((op, 3, v),)))
+
+
+def _mutated(g, tr):
+    """Traces that each break ``tr`` once: an op dropped, duplicated, turned
+    from insert to delete or back, sent to a non-neighbor, to vertex -1 or
+    n, or renamed; and recorded cycles that are wrong or reversed."""
+    ops, n = tr.trace, g.n
+    for k, (op, u, v) in enumerate(ops):
+        other = {"insert": "delete", "delete": "insert"}[op]
+        far = next((w for w in range(n) if w != u and not g.has_edge(u, w)), v)
+        for new in ((), ((op, u, v),) * 2, ((other, u, v),), ((op, u, far),),
+                    ((op, -1, v),), ((op, u, n),), (("flip", u, v),)):
+            yield dataclasses.replace(tr, trace=ops[:k] + new + ops[k + 1 :])
+    cyc = tr.hamilton_cycle or tuple(range(n))
+    for wrong in (cyc[1:2] + cyc[:1] + cyc[2:], cyc[::-1], tuple(range(n))):
+        yield dataclasses.replace(tr, success=True, hamilton_cycle=wrong)
+
+
+def _outcome(audit, g, f, tr):
+    try:
+        return sorted(audit(g, f, tr))
+    except InconsistentTrace as exc:
+        return str(exc)
+
+
+def test_replay_agrees_with_set_replay_on_mutated_traces():
+    # the bitset replay against the set-based one it replaced: the same
+    # message or the same final edge set on every broken trace
+    outcomes = []
+    for g in (nh.complete(6), nh.petersen(), nh.random_regular(10, 4, 2)):
+        cert = nh.certify(g)
+        for f in nh.enumerate_two_factors(g)[:40]:
+            tr = nh.two_factor_to_hamilton(g, f, cert)
+            for bad in (tr, *_mutated(g, tr)):
+                got = _outcome(nh.replay, g, f, bad)
+                assert got == _outcome(set_replay, g, f, bad), (f.components, bad)
+                outcomes.append(str(got))
+    # every check of the audit fired, and some traces replayed to the end
+    for part in ("[(", "outside", "non-edge", "already-present", "absent", "unknown op",
+                 "not a Hamilton cycle", "differs"):
+        assert any(part in got for got in outcomes), part
 
 
 def test_replay_rejects_wrong_factor():

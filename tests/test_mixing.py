@@ -116,11 +116,19 @@ def test_verify_mixing_matches_adjacency_recount():
         rep = nh.verify_mixing(g, cert, sample_count=samples, seed=seed)
         pairs = _battery_pairs(g.n) + _sampled_pairs(g.n, samples, seed)
         assert _fields(rep) == _recount(g, cert, pairs)
-        # every pair's e, defect and bound, bit for bit
+        # every pair, its defect and its bound, bit for bit, whether read
+        # from A or computed by the kernel
         adj = g.adjacency_matrix()
-        blocks = chain(nh.mixing._battery(g.n), nh.mixing._sample_blocks(g.n, samples, seed))
+        blocks = nh.mixing._pair_blocks(adj, cert, samples, seed)
+        got = [
+            (pair(i), (float(d), float(b)))
+            for defect, bound, pair in blocks
+            for i, (d, b) in enumerate(zip(defect, np.broadcast_to(bound, defect.shape)))
+        ]
+        assert got == [((s, t), _scalar(adj, cert, s, t)[1:]) for s, t in pairs]
+        blocks = chain([(np.ones((1, g.n)),) * 2], nh.mixing._sample_blocks(g.n, samples, seed))
         kernel = [row for s, t in blocks for row in zip(*nh.mixing._defects(adj, cert, s, t))]
-        assert kernel == [_scalar(adj, cert, s, t) for s, t in pairs]
+        assert kernel == [_scalar(adj, cert, s, t) for s, t in pairs[g.n**2 : g.n**2 + 1] + pairs[-samples:]]
         for s, t in pairs[:: len(pairs) // 50]:
             assert nh.mixing_defect(g, cert, s, t) == _scalar(adj, cert, s, t)
 
@@ -262,6 +270,23 @@ def test_large_sets_edge():
         nh.large_sets_edge(p13, cert13, [0], [1])
     with pytest.raises(InvalidParameters):
         nh.large_sets_edge(k4, cert, [0, 1], [1, 2])
+
+
+def test_certificate_of_another_graph_rejected():
+    g, other = nh.random_regular(20, 4, 0), nh.random_regular(24, 6, 0)
+    cert = nh.certify(other)
+    with pytest.raises(InvalidParameters, match="certificate is for n=24, graph has n=20"):
+        nh.verify_mixing(g, cert, sample_count=10, seed=0)
+    with pytest.raises(InvalidParameters, match="certificate is for n=24"):
+        nh.mixing_defect(g, cert, [0], [1])
+    with pytest.raises(InvalidParameters, match="certificate is for n=24"):
+        nh.expansion_check(g, cert, [0])
+    with pytest.raises(InvalidParameters, match="certificate is for n=24"):
+        nh.large_sets_edge(g, cert, list(range(10)), list(range(10, 20)))
+    g16 = nh.random_regular(16, 4, 0)  # small enough to enumerate its 2-factors
+    f = nh.enumerate_two_factors(g16)[0]
+    with pytest.raises(InvalidParameters, match="certificate is for n=24, graph has n=16"):
+        nh.two_factor_to_hamilton(g16, f, cert)
 
 
 def test_report_json():
