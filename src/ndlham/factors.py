@@ -12,11 +12,10 @@ table memoizes the generating functions of G[X] for every mask X, read by
 the histogram and by ``phi``.  All of them run up to ENUM_CAP vertices.
 Hamilton cycles are counted by the Held-Karp subset DP over the live subsets
 of each popcount layer, on int64 residues mod 2^64 and, where 2h may not
-fit, mod a prime.
+fit, mod the permanent's first prime.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,11 +23,11 @@ import numpy as np
 
 from .errors import InvalidParameters, check_cap
 from .graph import _bits
+from .permanent import crt_lift
 
 ENUM_CAP = 16
 HAMILTON_CAP = 24
 MATCHING_CAP = 30
-PRIME = 2**58 - 27  # a sum of n - 2 <= 22 residues stays below 2^63
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,38 +227,16 @@ def hamilton_count_exact(g):
     """h(G) by dynamic programming over (visited-subset, endpoint) states.
 
     Paths are rooted at vertex 0 and closed back to it, so each cycle is
-    counted twice, and 2h <= B = min((n-1)!, deg(0) (max degree - 1)^(n-2),
-    the Minc-Bregman bound on per(A)).  One pass gives 2h mod 2^64, which
-    is 2h when B < 2^64; otherwise a pass mod PRIME follows, and the CRT
-    rebuilds 2h < 2^64 PRIME (> 23!).
+    counted twice, and 2h <= min((n-1)!, per(A)).  One pass gives 2h mod
+    2^64; ``crt_lift`` adds a pass mod PRIMES[0] unless (n-1)! or the
+    Minc-Bregman bound on per(A) is below 2^64, and 2^64 (2^31 - 1) > 23!.
     """
-    check_cap(g.n, HAMILTON_CAP, "hamilton_count_exact")
     n = g.n
+    check_cap(n, HAMILTON_CAP, "hamilton_count_exact")
     if n < 3:
         return 0
-    bound = min(math.factorial(n - 1), g.degree(0) * (max(g.degrees) - 1) ** (n - 2))
-    twice = _hamilton_dp(g)
-    if bound >= 1 << 64 and not _bregman_below_2_64(g.degrees):
-        lift = (_hamilton_dp(g, PRIME) - twice) * pow(1 << 64, -1, PRIME) % PRIME
-        twice += lift << 64
-    return twice // 2
-
-
-def _bregman_below_2_64(degrees):
-    """Whether the Minc-Bregman bound prod_i (r_i!)^(1/r_i) on per(A) is
-    below 2^64, decided in exact integers.  With c_r vertices of degree r
-    and L the least common denominator of the exponents c_r / r, that is
-    prod_r (r!)^(c_r L / r) < 2^(64 L).  A zero degree makes per(A) = 0.
-    When L exceeds 2^16, 2^(64 L) would have more than 2^22 bits, and the
-    answer is False, which can only cost an extra DP pass."""
-    counts = Counter(degrees)
-    if 0 in counts:
-        return True
-    lcd = math.lcm(*(r // math.gcd(c, r) for r, c in counts.items()))
-    if lcd > 1 << 16:
-        return False
-    top = math.prod(math.factorial(r) ** (c * lcd // r) for r, c in counts.items())
-    return top < 1 << (64 * lcd)
+    return crt_lift(_hamilton_dp(g), 1 << 64, math.factorial(n - 1), g.degrees,
+                    lambda p: _hamilton_dp(g, p)) // 2
 
 
 def _hamilton_dp(g, p=None):
@@ -275,8 +252,8 @@ def _hamilton_dp(g, p=None):
     nonzero sums go to the masks with u added; those are stamped into
     ``live``, a flag per subset, and ``rank`` maps the next layer's masks
     to their positions.  The DP only adds, so cells that wrap stay exact
-    mod 2^64 and a zero residue can be dropped; mod p < 2^58, each sum of
-    at most n - 2 residues is reduced before it can reach 2^63.
+    mod 2^64 and a zero residue can be dropped; mod p < 2^31, each sum of
+    at most n - 2 residues is reduced while it is below 2^36.
     """
     n = g.n
     rows = g.rows

@@ -2,6 +2,7 @@
 signs) and the log-domain permanent bounds used by the counting arguments."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from .errors import InvalidParameters, InvariantViolation, check_cap
 # Glynn visits 2^(n-1) sign vectors at n products each; beyond this is not
 # desk scale
 EXACT_CAP = 28
+PRIMES = (2**31 - 1, 2**31 - 19)  # the residue passes after the one mod 2^64
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,10 @@ def permanent_exact(m):
         per(A) = 2^-(n-1) * sum over d in {+1,-1}^n with d_0 = +1 of
                  (prod_i d_i) * prod_j (sum_i d_i a_ij).
 
-    Each inner sum is at most the largest column sum c in absolute value,
-    and one signed dot product in ``_glynn`` adds 2^(n//2) products.  The
-    tables are int64 when c^n < 2^63, so that every product fits, and
-    arbitrary precision otherwise; on int64 each dot product is summed in
-    two exact halves by ``_split_dot``, so the sum cannot overflow.
+    ``_glynn`` gives the sum mod 2^64, hence per(A) mod 2^(65-n): the low
+    n - 1 bits of the sum must be zero.  ``crt_lift`` adds passes mod
+    PRIMES until min(n!, Minc-Bregman) is below the modulus; 2^37 times
+    both primes exceeds 28!.
     """
     n = m.n
     if n == 0:
@@ -48,27 +49,34 @@ def permanent_exact(m):
     check_cap(n, EXACT_CAP, "permanent_exact")
     if any(r == 0 for r in m.rows):
         return 0
-    max_col = max(sum(r >> j & 1 for r in m.rows) for j in range(n))
-    return _glynn(m, np.int64 if max_col**n < 1 << 63 else object)
+    a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=np.int64)
+    total = _glynn(a)
+    if total % (1 << (n - 1)):
+        raise InvariantViolation(f"permanent_exact: Glynn sum {total} is not divisible by 2^{n - 1}")
+    return crt_lift(total >> (n - 1), 1 << (65 - n), math.factorial(n),
+                    [r.bit_count() for r in m.rows], lambda p: _glynn(a, p) * pow(2, 1 - n, p))
 
 
-def _glynn(m, dtype):
-    """Glynn's sum, meet in the middle.
+def _glynn(a, p=None):
+    """Glynn's sum 2^(n-1) per(A) of the n x n 0-1 int64 array ``a``, meet
+    in the middle, mod 2^64 by int64 wraparound or mod a prime ``p`` < 2^31.
 
     Rows 1..n-1 are split into n//2 low and (n-1)//2 high rows.  Each half
     gets an n x 2^rows table of its share of the column sums for every sign
     pattern of its rows, built by doubling (flipping row i subtracts 2 a_i),
     and the sign of each pattern.  Each high pattern then takes the column
-    products for all low patterns at once and one signed dot product, by
-    ``_split_dot`` on int64.
+    products for all low patterns at once and one signed dot product.  With
+    wraparound every product and sum is exact mod 2^64.  Mod p, at most 6
+    column sums (each |sum| <= n <= 28, so their product is below 2^29) are
+    multiplied before a reduction, so no product reaches 2^60, and a dot
+    product of 2^(n//2) residues stays below 2^45.
     """
-    n = m.n
-    a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=dtype)
+    n = len(a)
 
     def table(rows, start):
-        sums = np.zeros((n, 1 << len(rows)), dtype=dtype)
+        sums = np.zeros((n, 1 << len(rows)), dtype=np.int64)
         sums[:, 0] = start
-        sign = np.ones(1 << len(rows), dtype=dtype)
+        sign = np.ones(1 << len(rows), dtype=np.int64)
         for b, i in enumerate(rows):
             sums[:, 1 << b:2 << b] = sums[:, :1 << b] - 2 * a[i][:, None]
             sign[1 << b:2 << b] = -sign[:1 << b]
@@ -79,27 +87,16 @@ def _glynn(m, dtype):
     high, high_sign = table(range(split, n), 0)
     total = 0
     for k in range(high.shape[1]):
-        prods = np.prod(low + high[:, k:k + 1], axis=0)
-        s = int(low_sign @ prods) if dtype is object else _split_dot(low_sign, prods)
+        sums = low + high[:, k:k + 1]
+        if p is None:
+            prods = np.prod(sums, axis=0)
+        else:
+            prods = np.prod(sums[:6], axis=0) % p
+            for i in range(6, n, 6):
+                prods = prods * np.prod(sums[i:i + 6], axis=0) % p
+        s = int(low_sign @ prods)
         total += s if high_sign[k] > 0 else -s
-    per, rest = divmod(total, 1 << (n - 1))
-    if rest:
-        raise InvariantViolation(
-            f"permanent_exact: Glynn sum {total} is not divisible by 2^{n - 1}"
-        )
-    return per
-
-
-def _split_dot(sign, prods):
-    """The exact integer ``sign @ prods`` for int64 arrays of at most 2^30
-    terms, with ``sign`` in {+1, -1}.
-
-    Each product p is split as (p >> 32) * 2^32 + (p & 0xFFFFFFFF) and the
-    halves are dotted apart: |p >> 32| <= 2^31 and 0 <= p & 0xFFFFFFFF <
-    2^32, so neither sum can overflow.  Glynn's low half has 2^(n//2) <= 2^14
-    terms (n <= EXACT_CAP).
-    """
-    return (int(sign @ (prods >> 32)) << 32) + int(sign @ (prods & 0xFFFFFFFF))
+    return total % (p or 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -124,18 +121,41 @@ class LogBound:
         }
 
 
-def _log_factorial(k):
-    return math.lgamma(k + 1)
-
-
 def bregman_bound(row_sums):
     """Minc-Bregman upper bound: sum over rows of log(r_i!)/r_i."""
     if any(r < 0 for r in row_sums):
         raise InvalidParameters("bregman_bound: negative row sum")
     if any(r == 0 for r in row_sums):
         return LogBound(value=-math.inf, kind="upper", source="bregman", is_zero=True)
-    value = sum(_log_factorial(r) / r for r in row_sums)
+    value = sum(math.lgamma(r + 1) / r for r in row_sums)
     return LogBound(value=value, kind="upper", source="bregman")
+
+
+def bregman_below(row_sums, modulus):
+    """Whether the Minc-Bregman bound prod_i (r_i!)^(1/r_i) on per(A) is below
+    ``modulus``: with c_r rows of sum r and L the least common denominator of
+    the c_r / r, whether prod_r (r!)^(c_r L / r) < modulus^L.  A zero row gives
+    True (per(A) = 0), and L bits(modulus) > 2^22 gives False."""
+    counts = Counter(row_sums)
+    if 0 in counts:
+        return True
+    lcd = math.lcm(*(r // math.gcd(c, r) for r, c in counts.items()))
+    if lcd * modulus.bit_length() > 1 << 22:
+        return False
+    top = math.prod(math.factorial(r) ** (c * lcd // r) for r, c in counts.items())
+    return top < modulus**lcd
+
+
+def crt_lift(x, modulus, cap, row_sums, residue):
+    """The count y = x mod ``modulus`` with 0 <= y <= cap and y <= per(A) for
+    some A with these row sums: y mod p = ``residue(p)`` for p in PRIMES is
+    joined by the CRT until min(cap, Minc-Bregman) is below the modulus."""
+    for p in PRIMES:
+        if cap < modulus or bregman_below(row_sums, modulus):
+            break
+        lift = (residue(p) - x) * pow(modulus, -1, p) % p
+        x, modulus = x + lift * modulus, modulus * p
+    return x
 
 
 def vdw_lower(n, d):
@@ -143,7 +163,7 @@ def vdw_lower(n, d):
     per(A) >= n! (d/n)^n, via the doubly stochastic matrix A/d."""
     if not 1 <= d <= n:
         raise InvalidParameters("vdw_lower: 1 <= d <= n required")
-    value = _log_factorial(n) + n * math.log(d / n)
+    value = math.lgamma(n + 1) + n * math.log(d / n)
     return LogBound(value=value, kind="lower", source="vdw")
 
 
@@ -152,7 +172,7 @@ def regular_upper(n, d):
     for any d-regular graph."""
     if d < 1:
         raise InvalidParameters("regular_upper: d >= 1 required")
-    return LogBound(value=n / d * _log_factorial(d), kind="upper", source="regular-upper")
+    return LogBound(value=n / d * math.lgamma(d + 1), kind="upper", source="regular-upper")
 
 
 def alon_friedland_upper(n, d):
@@ -162,5 +182,5 @@ def alon_friedland_upper(n, d):
     if d < 1:
         raise InvalidParameters("alon_friedland_upper: d >= 1 required")
     return LogBound(
-        value=n / (2 * d) * _log_factorial(d), kind="upper", source="alon-friedland"
+        value=n / (2 * d) * math.lgamma(d + 1), kind="upper", source="alon-friedland"
     )

@@ -13,17 +13,19 @@ from .errors import InvalidParameters, NotRegular
 from .graph import _bits
 
 
-def _connected(g):
-    """Whether g is connected, by a breadth-first search over its adjacency
-    bitsets from vertex 0."""
-    seen = frontier = 1
+def _connected_bipartite(g):
+    """(connected, bipartite) for g, by one breadth-first search over its
+    adjacency bitsets from vertex 0; the component of 0 is bipartite
+    exactly when no edge joins two vertices of one BFS layer."""
+    seen, frontier, odd = 1, 1, 0
     while frontier:
         reach = 0
         for v in _bits(frontier):
             reach |= g.rows[v]
+        odd |= reach & frontier
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == (1 << g.n) - 1, not odd
 
 
 def spectrum(g):
@@ -66,7 +68,8 @@ def certify(g, epsilon=0.1):
     """Certify g as an (n,d,lambda)-graph.
 
     lambda is the largest absolute value among the nontrivial eigenvalues,
-    i.e. max(|eig_2|, |eig_n|) for the descending-sorted spectrum.  All
+    i.e. max(|eig_2|, |eig_n|) for the descending-sorted spectrum; it is set
+    to d, exactly, when g is disconnected or bipartite, and is below d else.  All
     logarithms are natural.  epsilon, the constant of condition 1
     d/lambda >= (log n)^(1+epsilon), must be finite and positive.
     """
@@ -79,14 +82,13 @@ def certify(g, epsilon=0.1):
     eigs = spectrum(g)
     n = g.n
     d = g.degree(0)
-    lam = max(abs(eigs[1]), abs(eigs[-1]))
+    connected, bipartite = _connected_bipartite(g)
+    lam = float(d) if bipartite or not connected else max(abs(eigs[1]), abs(eigs[-1]))
     ratio = d / lam if lam > 0 else math.inf
     logn = math.log(n)
     cond1 = ratio / logn ** (1.0 + epsilon)
-    if lam > 0 and d > lam:
-        cond2 = (math.log(d) * math.log(d / lam)) / logn
-    else:
-        cond2 = 0.0 if lam >= d else math.inf
+    # lam = 0 only when d = 0, so d > lam implies lam > 0
+    cond2 = math.log(d) * math.log(d / lam) / logn if d > lam else 0.0
     return NdlCertificate(
         n=n,
         d=d,
@@ -95,6 +97,6 @@ def certify(g, epsilon=0.1):
         eigenvalue_ratio=ratio,
         cond1_margin=cond1,
         cond2_ratio=cond2,
-        connected=_connected(g),
+        connected=connected,
         epsilon=epsilon,
     )

@@ -40,6 +40,11 @@ def corpus_fixture():
     return corpus()
 
 
+def complement(g):
+    full = (1 << g.n) - 1
+    return nh.graph.Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracles (kept deliberately naive)
 

@@ -9,6 +9,7 @@ import pytest
 
 import ndlham as nh
 from ndlham.cli import build_parser, main
+from conftest import complement
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +98,20 @@ def test_report_and_tail(tmp_path, capsys):
     code, out, _ = run(capsys, ["tail", path])
     assert code == 0
     assert json.loads(out)["tail_empty"] is True
+
+
+def test_report_in_the_theorem_regime(tmp_path, capsys):
+    # complement(rr(20,4,0)) is 15-regular with cond1_margin 1.13 >= 1; its
+    # permanent takes a pass mod 2^64 and one mod a prime
+    path = tmp_path / "dense.el"
+    path.write_text(nh.write_edge_list(complement(nh.random_regular(20, 4, 0))))
+    code, out, _ = run(capsys, ["report", str(path)])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["d"] == 15
+    assert all(rep["ok"].values())
+    code, out, _ = run(capsys, ["certify", str(path)])
+    assert json.loads(out)["cond1_margin"] == pytest.approx(1.13, abs=0.005)
 
 
 def test_phi_subcommand(tmp_path, capsys):

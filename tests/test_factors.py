@@ -7,11 +7,13 @@ import pytest
 import ndlham as nh
 from ndlham.errors import InvalidParameters, TooLarge
 from ndlham.factors import _hamilton_dp, is_hamilton_cycle, phi_argmax, validate_two_factor
+from ndlham.permanent import PRIMES, bregman_below
 from conftest import (
     backtrack_two_factors,
     brute_hamilton_count,
     brute_matching_count,
     brute_two_factors,
+    complement,
     ie_hamilton_count,
     induced_phi,
 )
@@ -213,33 +215,37 @@ def test_hamilton_dp_empty_layers():
         assert _hamilton_dp(g, 251) == 2 * h % 251
 
 
-def complement(g):
-    full = (1 << g.n) - 1
-    return nh.graph.Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
-
-
 def test_bregman_below_2_64():
-    below = nh.factors._bregman_below_2_64
+    m = 1 << 64
     # (17!)^(22/17) is 2^62.55, (18!)^(22/18) 2^64.18
-    assert below([17] * 22) and not below([18] * 22)
+    assert bregman_below([17] * 22, m) and not bregman_below([18] * 22, m)
     # three 17s and nineteen 18s give 2^63.96 (L = 306), two and twenty
     # 2^64.03 (L = 153)
-    assert below([17] * 3 + [18] * 19) and not below([17] * 2 + [18] * 20)
-    assert below([0, 23, 23])  # a zero row makes per(A) = 0
-    # distinct degrees 1..23 have a common denominator over 2^16: no answer
-    assert not below(list(range(1, 24)) + [1])
+    assert bregman_below([17] * 3 + [18] * 19, m)
+    assert not bregman_below([17] * 2 + [18] * 20, m)
+    assert bregman_below([0, 23, 23], m)  # a zero row makes per(A) = 0
+    # distinct degrees 1..23: L bits(2^64) exceeds 2^22, so no answer
+    assert not bregman_below(list(range(1, 24)) + [1], m)
+
+
+def test_bregman_below_a_residue_modulus():
+    # permanent_exact's second modulus 2^(65-n) p at n = 20: (15!)^(20/15)
+    # is 2^53.7, (19!)^(20/19) 2^59.0, and 2^45 (2^31 - 1) is 2^76
+    m = (1 << 45) * PRIMES[0]
+    assert bregman_below([15] * 20, m) and not bregman_below([15] * 20, 1 << 45)
+    assert bregman_below([19] * 20, m) and not bregman_below([19] * 20, 1 << 58)
 
 
 @pytest.mark.parametrize(
     "g, h, passes",
     [
         # 2h = 22! > 2^69, so only the CRT gives it; a cell holds up to
-        # 21! > 2^63 paths, so the mod-PRIME pass must reduce its sums (below
+        # 21! > 2^63 paths, so the mod-p pass must reduce its sums (below
         # n = 23 every cell is at most 20! < 2^63)
         (nh.complete(23), math.factorial(22) // 2, 2),
-        # deg(0) (max degree - 1)^20 = 8 * 7^20 < 2^61: one int64 pass
+        # 21! > 2^64, but Bregman (8!)^(22/8) < 2^42.1: one int64 pass
         (nh.circulant(22, (1, 2, 3, 4)), 11243025019, 1),
-        # 17-regular: min(21!, 17 * 16^20) > 2^64, but Bregman (17!)^(22/17) < 2^62.6:
+        # 17-regular: 21! > 2^64, but Bregman (17!)^(22/17) < 2^62.6:
         # h is what the two-pass CRT gives
         (complement(nh.random_regular(22, 4, 0)), 246102495956955897, 1),
     ],
@@ -254,7 +260,7 @@ def test_hamilton_pass_count(monkeypatch, g, h, passes):
 
     monkeypatch.setattr(nh.factors, "_hamilton_dp", counted)
     assert nh.hamilton_count_exact(g) == h
-    assert moduli == [None, nh.factors.PRIME][:passes]
+    assert moduli == [None, PRIMES[0]][:passes]
 
 
 def test_hamilton_live_state_memory():

@@ -7,8 +7,8 @@ import pytest
 import ndlham as nh
 import ndlham.permanent
 from ndlham.errors import InvalidParameters, InvariantViolation, TooLarge
-from ndlham.permanent import _glynn, _split_dot
-from conftest import brute_permanent, ryser_permanent
+from ndlham.permanent import PRIMES, _glynn
+from conftest import brute_permanent, complement, ryser_permanent
 
 
 def test_identity_and_ones():
@@ -45,56 +45,54 @@ def test_glynn_matches_ryser(corpus):
         ), name
 
 
-def test_glynn_dtype_paths_agree():
+def int64_matrix(g):
+    return np.array([[r >> j & 1 for j in range(g.n)] for r in g.rows], dtype=np.int64)
+
+
+def test_glynn_residues():
+    # 2^(n-1) per(A) is below 2^64 here, so the wraparound pass gives it whole
     for g in (nh.complete(7), nh.petersen(), nh.random_regular(12, 4, 5)):
-        m = nh.adjacency_matrix_of(g)
-        assert _glynn(m, object) == _glynn(m, np.int64) == ryser_permanent(g.rows, g.n)
+        a = int64_matrix(g)
+        glynn_sum = 2 ** (g.n - 1) * ryser_permanent(g.rows, g.n)
+        assert _glynn(a) == glynn_sum
+        for q in (3, 251):
+            assert _glynn(a, q) == glynn_sum % q
 
 
-@pytest.fixture(name="glynn_paths")
-def glynn_paths_fixture(monkeypatch):
-    """The dtype of every ``_glynn`` call ``permanent_exact`` makes."""
-    paths = []
-
-    def spy(m, dtype):
-        paths.append(dtype)
-        return _glynn(m, dtype)
-
-    monkeypatch.setattr(ndlham.permanent, "_glynn", spy)
-    return paths
+def derangements(n):
+    """D(n) = per(J - I), by D(k) = (k - 1) (D(k - 1) + D(k - 2))."""
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[n]
 
 
-def test_glynn_guard_sends_large_products_to_object(glynn_paths):
-    # column sums 16: 16^16 = 2^64, so a single product can overflow
-    ones = nh.ZeroOneMatrix(16, ((1 << 16) - 1,) * 16)
-    assert nh.permanent_exact(ones) == math.factorial(16)
-    # per(J - I) counts the derangements: D(k) = (k - 1) (D(k - 1) + D(k - 2));
-    # 15^16 < 2^63, so every product fits and the tables are int64
-    derangements = [1, 0]
-    for k in range(2, 17):
-        derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
-    assert nh.permanent_exact(nh.adjacency_matrix_of(nh.complete(16))) == derangements[16]
-    assert glynn_paths == [object, np.int64]
+@pytest.mark.parametrize(
+    "m, per, passes",
+    [
+        # Bregman 24^5 < 2^23 is below 2^(65-20): the int64 pass alone
+        (nh.adjacency_matrix_of(nh.random_regular(20, 4, 0)), 207956, 1),
+        # 22! > 2^43, but Bregman (8!)^(22/8) < 2^42.1 is below 2^(65-22)
+        (nh.adjacency_matrix_of(nh.circulant(22, (1, 2, 3, 4))), 672535917712, 1),
+        # 15-regular: Bregman (15!)^(20/15) is 2^53.7, between 2^45 and 2^45 p
+        (nh.adjacency_matrix_of(complement(nh.random_regular(20, 4, 0))), 9100412799106368, 2),
+        # every column sum is n: per(J) = 20! is 2^61.1, between 2^45 and 2^45 p
+        (nh.ZeroOneMatrix(20, ((1 << 20) - 1,) * 20), math.factorial(20), 2),
+        # Bregman (23!)^(24/23) is 2^77.3, between 2^41 p and 2^41 p p'
+        (nh.adjacency_matrix_of(nh.complete(24)), derangements(24), 3),
+    ],
+    ids=["rr20", "circulant22", "complement-rr20", "J20", "K24"],
+)
+def test_permanent_pass_count(monkeypatch, m, per, passes):
+    moduli = []
 
+    def counted(a, p=None):
+        moduli.append(p)
+        return _glynn(a, p)
 
-def test_glynn_int64_past_a_plain_dot_bound(glynn_paths):
-    # 8-regular: 8^18 = 2^54 fits, 8^18 * 2^9 = 2^63 does not
-    g = nh.circulant(18, (1, 2, 3, 4))
-    m = nh.adjacency_matrix_of(g)
-    expected = ryser_permanent(g.rows, 18)
-    assert nh.permanent_exact(m) == expected
-    assert glynn_paths == [np.int64]
-    assert _glynn(m, object) == expected
-
-
-def test_split_dot_is_exact_past_int64():
-    big = (1 << 63) - 1
-    prods = np.array([big, big, big, -big, 1 << 62, -(1 << 62)] * 3, dtype=np.int64)
-    sign = np.array([1, 1, 1, -1, 1, -1] * 3, dtype=np.int64)
-    expected = sum(int(s) * int(p) for s, p in zip(sign, prods))
-    assert expected > 1 << 63
-    assert _split_dot(sign, prods) == expected
-    assert _split_dot(-sign, prods) == -expected
+    monkeypatch.setattr(ndlham.permanent, "_glynn", counted)
+    assert nh.permanent_exact(m) == per
+    assert moduli == [None, *PRIMES][:passes]
 
 
 def test_glynn_sum_not_divisible_raises(monkeypatch):

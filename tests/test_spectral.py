@@ -6,6 +6,7 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters, NotRegular
+from ndlham.hamiltonize import merge_budget
 from conftest import jacobi_eigenvalues
 
 
@@ -115,6 +116,23 @@ def test_certify_connectivity(corpus):
     extra = [("two triangles", two_triangles), ("interleaved", interleaved), ("2K4", two_k4)]
     for name, g in corpus + extra:
         assert nh.certify(g).connected == (components_from_edges(g) == 1), name
+
+
+def test_lambda_is_d_when_bipartite_or_disconnected(corpus):
+    # the float spectrum puts C6's eigenvalue -2 at -1.9999999999999996
+    for n in (6, 14, 16):
+        cert = nh.certify(nh.cycle(n))
+        assert cert.lam == 2.0
+        assert merge_budget(n, cert.d, cert.lam, 10.0) == n
+    k33 = nh.certify(nh.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]))
+    assert (k33.lam, k33.eigenvalue_ratio, k33.cond2_ratio) == (3.0, 1.0, 0.0)
+    two_k4 = nh.from_edges(8, [(u + s, v + s) for s in (0, 4) for u, v in nh.complete(4).edges()])
+    assert nh.certify(two_k4).lam == 3.0
+    # against the spectrum: a second eigenvalue d, or the eigenvalue -d
+    for name, g in corpus + [("2K4", two_k4)]:
+        eigs, d = nh.spectrum(g), g.degree(0)
+        exact = abs(eigs[1] - d) < 1e-9 or abs(eigs[-1] + d) < 1e-9
+        assert (nh.certify(g).lam == d) == exact, name
 
 
 def test_certify_rejects_irregular():
