@@ -59,27 +59,43 @@ class TwoFactor:
 def validate_two_factor(g, f):
     """Raise InvalidParameters unless the components of ``f`` partition the
     vertices of ``g`` into edges and cycles of ``g``."""
+    _component_masks(g, f)
+
+
+def _component_masks(g, f, have=None):
+    """Check ``f`` as ``validate_two_factor`` promises, the partition first,
+    then each component's length and edges, and return the vertex mask of
+    each component, in order.  Given a list ``have`` of n zeros, the edge
+    checks also fill it with the factor's edges as one bitset row per
+    vertex, a 2-vertex component being one edge."""
     rows = g.rows
-    covered, size = 0, 0
+    masks, covered, size = [], 0, 0
     try:
         for comp in f.components:
+            m = 0
             for v in comp:
-                covered |= 1 << v
+                m |= 1 << v
+            masks.append(m)
+            covered |= m
             size += len(comp)
-    except ValueError:  # negative vertex
+    except (ValueError, TypeError):  # a negative or non-integer vertex
         covered = -1
     if size != g.n or covered != (1 << g.n) - 1:
         raise InvalidParameters("two-factor components must partition the vertex set")
     for comp in f.components:
         if len(comp) < 2:
             raise InvalidParameters("component shorter than 2")
-        if len(comp) == 2:
-            if not rows[comp[0]] >> comp[1] & 1:
-                raise InvalidParameters(f"non-edge component {comp}")
-        else:
-            for u, v in zip(comp, comp[1:] + comp[:1]):
-                if not rows[u] >> v & 1:
-                    raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
+        u = comp[0]
+        for v in (*comp[1:], u):
+            if not rows[u] >> v & 1:
+                if len(comp) == 2:
+                    raise InvalidParameters(f"non-edge component {comp}")
+                raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
+            if have is not None:
+                have[u] |= 1 << v
+                have[v] |= 1 << u
+            u = v
+    return masks
 
 
 def _components(rows, free, visit):
@@ -251,9 +267,12 @@ def _hamilton_dp(g, p=None):
     counts of u's neighbors are summed over the masks without u, and the
     nonzero sums go to the masks with u added; those are stamped into
     ``live``, a flag per subset, and ``rank`` maps the next layer's masks
-    to their positions.  The DP only adds, so cells that wrap stay exact
-    mod 2^64 and a zero residue can be dropped; mod p < 2^31, each sum of
-    at most n - 2 residues is reduced while it is below 2^36.
+    to their positions.  An endpoint with fewer non-neighbors than
+    neighbors takes the layer's column total, summed once per layer, less
+    its non-neighbors' rows; its own row adds nothing, being zero at the
+    masks without u.  The DP only adds, so cells that wrap stay exact mod
+    2^64 and a zero residue can be dropped; mod p < 2^31, each sum of at
+    most n - 1 residues is reduced while it is below 2^36.
     """
     n = g.n
     rows = g.rows
@@ -265,18 +284,27 @@ def _hamilton_dp(g, p=None):
     masks = np.left_shift(1, first, dtype=np.int32)
     cnt = np.zeros((n - 1, len(first)), dtype=np.int64)
     cnt[first, np.arange(len(first))] = 1
-    # rows of the DP that may precede u on a path: its neighbors other than 0
+    # rows of the DP that may precede u on a path: its neighbors other than
+    # 0; and the rows of its non-neighbors, for the dense endpoints
     preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
+    nonpreds = [[v - 1 for v in _bits((1 << n) - 2 & ~rows[u] & ~(1 << u))] for u in range(n)]
+    dense = [0 < u and len(nonpreds[u]) < len(preds[u]) for u in range(n)]
     for _ in range(2, n):
         steps = []
+        total = cnt.sum(axis=0) if any(dense) else None
         for u in range(1, n):
             if not preds[u]:
                 continue
             bit = 1 << (u - 1)
             src = np.flatnonzero((masks & bit) == 0)
-            acc = cnt[preds[u][0]][src]
-            for v in preds[u][1:]:
-                acc += cnt[v][src]
+            if dense[u]:
+                acc = total[src]
+                for v in nonpreds[u]:
+                    acc -= cnt[v][src]
+            else:
+                acc = cnt[preds[u][0]][src]
+                for v in preds[u][1:]:
+                    acc += cnt[v][src]
             if p:
                 acc %= p
             keep = np.flatnonzero(acc)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InconsistentTrace, InvalidParameters, check_certificate
-from .factors import is_hamilton_cycle, validate_two_factor
+from .factors import _component_masks
 from .graph import _bits, _mask
 
 
@@ -92,38 +92,41 @@ def _rotate(rows, path, outside, inside, budget):
     ((pivot, pivot's old successor, end), parent link) below it, so each
     node stores one rotation.  Acceptance depends only on the endpoints and
     no seen node is accepted, so a successor is tested before its lookup.
+    A node is queued only if neither endpoint sees ``outside``, so a
+    successor, which keeps the head ``seq[0]``, is extendable exactly when
+    its new end sees ``outside``.
     """
     closable = len(path) >= 3
-
-    def accept(a, b):
-        if (rows[a] | rows[b]) & outside:
-            return "extendable"
-        if closable and rows[a] >> b & 1:
-            return "cycle"
-        return None
-
-    kind = accept(path[0], path[-1])
-    if kind:
-        return kind, path, []
-    seen = {path if path[0] < path[-1] else path[::-1]}
+    a, b = path[0], path[-1]
+    if (rows[a] | rows[b]) & outside:
+        return "extendable", path, []
+    if closable and rows[a] >> b & 1:
+        return "cycle", path, []
+    seen = {path if a < b else path[::-1]}
     queue = deque([(path, 0, None)])
     while queue:
         cur, depth, link = queue.popleft()
         if depth >= budget:
             continue
         for seq in (cur, cur[::-1]):
-            end = seq[-1]
-            for piv in _bits(rows[end] & inside & ~(1 << seq[-2])):
+            a, end = seq[0], seq[-1]
+            head = rows[a] if closable else 0
+            pivots = rows[end] & inside & ~(1 << seq[-2])
+            while pivots:
+                low = pivots & -pivots
+                pivots ^= low
+                piv = low.bit_length() - 1
                 i = seq.index(piv)
-                rot = (piv, seq[i + 1], end)
+                b = seq[i + 1]
                 nxt = seq[: i + 1] + seq[: i : -1]
-                kind = accept(seq[0], seq[i + 1])
-                if kind:
-                    return kind, nxt, _unwind((rot, link))
-                key = nxt if nxt[0] < nxt[-1] else nxt[::-1]
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((nxt, depth + 1, (rot, link)))
+                if rows[b] & outside:
+                    return "extendable", nxt, _unwind(((piv, b, end), link))
+                if head >> b & 1:
+                    return "cycle", nxt, _unwind(((piv, b, end), link))
+                size = len(seen)
+                seen.add(nxt if a < b else nxt[::-1])
+                if len(seen) > size:
+                    queue.append((nxt, depth + 1, ((piv, b, end), link)))
     return "failure", path, []
 
 
@@ -159,7 +162,7 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
     operations of the current merge.
     """
     check_certificate(g, cert, "two_factor_to_hamilton")
-    validate_two_factor(g, f)
+    masks = _component_masks(g, f)
     n, rows = g.n, g.rows
     budget = merge_budget(n, cert.d, cert.lam, budget_constant)
     trace, per_merge, start = [], [], 0
@@ -176,18 +179,18 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
             failure_reason=failure_reason,
         )
 
-    comps = sorted(f.components, key=min)
-    if len(comps) == 1 and n >= 3:  # already a Hamilton cycle
+    if len(masks) == 1 and n >= 3:  # already a Hamilton cycle
         per_merge.append(0)
-        return end(comps[0])
+        return end(f.components[0])
 
     # a validated 2-factor partitions V: the unabsorbed vertices ``rest``
     # are exactly the vertices off the path, and each pending component
-    # carries its mask
+    # carries its mask; components are taken in the order of their lowest
+    # vertex
     full = (1 << n) - 1
-    pending = [(sum(1 << v for v in c), c) for c in comps[1:]]
-    rest = sum(m for m, _ in pending)
-    path = tuple(comps[0])
+    first, *pending = sorted(zip(masks, f.components), key=lambda mc: mc[0] & -mc[0])
+    rest = full & ~first[0]
+    path = tuple(first[1])
     if len(path) > 2:  # a 2-cycle is its own path
         hooked = [v for v in path if rows[v] & rest]
         if not hooked:
@@ -216,7 +219,9 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
         if not tail or (head and (head & -head) < (tail & -tail)):
             path, tail = path[::-1], head
         u = (tail & -tail).bit_length() - 1
-        mask, comp = next(mc for mc in pending if mc[0] >> u & 1)
+        for mask, comp in pending:
+            if mask >> u & 1:
+                break
         rest &= ~mask
         trace.append(("insert", *_e(path[-1], u)))
         if len(comp) == 2:
@@ -255,19 +260,6 @@ def _open_cycle_at(trace, cyc, v):
     return (cyc[i:] + cyc[:i])[::-1]
 
 
-def _edge_rows(n, cycles):
-    """Per-vertex bitset rows of the edges of ``cycles``, a 2-vertex cycle
-    being one edge."""
-    rows = [0] * n
-    for cyc in cycles:
-        u = cyc[-1]
-        for v in cyc:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            u = v
-    return rows
-
-
 def replay(g, f, trace):
     """Audit a RotationTrace: apply its edge operations to the edge set of
     the 2-factor, held as per-vertex bitset rows, and check the recorded
@@ -279,29 +271,52 @@ def replay(g, f, trace):
     absent edge, an unknown op, or a successful trace not ending at the
     recorded Hamilton cycle).
     """
-    validate_two_factor(g, f)
     n, rows = g.n, g.rows
-    have = _edge_rows(n, f.components)
+    have = [0] * n
+    _component_masks(g, f, have)
     for op, u, v in trace.trace:
-        if not (0 <= u < n and 0 <= v < n):
+        try:  # a vertex is an integer in 0..n-1
+            ok = 0 <= u < n and 0 <= v < n
+            row, mine, bit = rows[u], have[u], 1 << v
+        except (TypeError, IndexError, ValueError):
+            ok = False
+        if not ok:
             raise InconsistentTrace(f"{op} names a vertex outside 0..{n - 1}: {_e(u, v)}")
         if op == "insert":
-            if not rows[u] >> v & 1:
+            if not row & bit:
                 raise InconsistentTrace(f"inserted non-edge {_e(u, v)}")
-            if have[u] >> v & 1:
+            if mine & bit:
                 raise InconsistentTrace(f"inserted already-present edge {_e(u, v)}")
         elif op == "delete":
-            if not have[u] >> v & 1:
+            if not mine & bit:
                 raise InconsistentTrace(f"deleted absent edge {_e(u, v)}")
         else:
             raise InconsistentTrace(f"unknown op {op!r}")
-        have[u] ^= 1 << v
+        have[u] = mine ^ bit
         have[v] ^= 1 << u
     if not trace.success:
         return {(u, v) for u in range(n) for v in _bits(have[u] >> u + 1 << u + 1)}
+    # one walk over the recorded cycle: each step b -> c is an edge of G, the
+    # bits of the steps fill the vertex mask, and each row holds exactly the
+    # vertex's two cycle neighbours a and c
     cyc = trace.hamilton_cycle
-    if not is_hamilton_cycle(g, list(cyc)):
+    seen, same, out = 0, True, set()
+    if len(cyc) == n >= 3:
+        a, b = cyc[-2], cyc[-1]
+        try:
+            for c in cyc:
+                # a vertex >= n is in no row, a negative one fails the shift
+                if not rows[b] >> c & 1:
+                    break
+                seen |= 1 << c
+                if have[b] != (1 << a) | (1 << c):
+                    same = False
+                out.add((b, c) if b < c else (c, b))
+                a, b = b, c
+        except (TypeError, IndexError, ValueError):  # no vertex
+            seen = 0
+    if seen != (1 << n) - 1:
         raise InconsistentTrace("recorded cycle is not a Hamilton cycle")
-    if have != _edge_rows(n, [cyc]):
+    if not same:
         raise InconsistentTrace("replayed edge set differs from recorded cycle")
-    return {_e(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])}  # the rows' edges
+    return out

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -123,14 +124,43 @@ def test_validate_two_factor_messages():
         (k4, ((0, 1, 2),), "partition"),  # missing vertex
         (k4, ((0, 1), (2, 4)), "partition"),  # out of range
         (k4, ((0, 1), (-1, 2, 3)), "partition"),  # negative
+        (k4, ((0, 1), (2.0, 3)), "partition"),  # not an integer
+        (k4, ((0, 1), (2, 3.5)), "partition"),
         (k4, ((0, 1, 2), (3,)), "shorter than 2"),
+        (k4, ((0, 1, 2, 3), ()), "shorter than 2"),
         (c4, ((0, 2), (1, 3)), "non-edge component"),
         (c4, ((0, 2, 1, 3),), r"non-edge \(0,2\) in component"),
         (c4, ((0, 1, 3, 2),), r"non-edge \(1,3\) in component"),
     ]
     for g, comps, msg in cases:
-        with pytest.raises(InvalidParameters, match=msg):
-            validate_two_factor(g, nh.TwoFactor(comps))
+        f = nh.TwoFactor(comps)
+        with pytest.raises(InvalidParameters, match=msg) as want:
+            validate_two_factor(g, f)
+        # the rotation engine and the trace audit check the factor the same
+        # way, with the same message
+        cert = nh.certify(g)
+        valid = nh.TwoFactor(((0, 1), (2, 3)))
+        trace = nh.two_factor_to_hamilton(g, valid, cert)
+        for check in (lambda: nh.two_factor_to_hamilton(g, f, cert),
+                      lambda: nh.replay(g, f, trace)):
+            with pytest.raises(InvalidParameters) as got:
+                check()
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_validate_numpy_integer_vertices():
+    g = nh.random_regular(10, 4, 2)
+    for f in nh.enumerate_two_factors(g)[:40]:
+        validate_two_factor(g, nh.TwoFactor(tuple(map(tuple, map(np.array, f.components)))))
+    k4 = nh.complete(4)
+    for comps, msg in [(((0, 1), (2, 4)), "partition"), (((0, 1), (2.0, 3)), "partition"),
+                       (((0, 1, 2, 3),), None)]:
+        f = nh.TwoFactor(tuple(tuple(np.array(c)) for c in comps))
+        if msg is None:
+            validate_two_factor(k4, f)
+        else:
+            with pytest.raises(InvalidParameters, match=msg):
+                validate_two_factor(k4, f)
 
 
 def test_weighted_sum_examples():
@@ -199,6 +229,20 @@ def test_hamilton_matches_inclusion_exclusion():
         h = ie_hamilton_count(g)
         assert nh.hamilton_count_exact(g) == h
         assert _hamilton_dp(g, 251) == 2 * h % 251
+
+
+def test_hamilton_dense_step_matches_inclusion_exclusion():
+    # complement(rr(n,4)) is (n-5)-regular: from n = 10 some endpoints, and
+    # from n = 11 all, have fewer non-neighbors than neighbors and take the
+    # column total less the non-neighbors' rows
+    for n in (10, 11, 12, 14, 16):
+        for s in (0, 1):
+            g = complement(nh.random_regular(n, 4, s))
+            h = ie_hamilton_count(g)
+            assert nh.hamilton_count_exact(g) == h, (n, s)
+            assert _hamilton_dp(g) == 2 * h % 2**64
+            for q in (3, 251, PRIMES[0]):
+                assert _hamilton_dp(g, q) == 2 * h % q, (n, s, q)
 
 
 def test_hamilton_dp_empty_layers():

@@ -93,13 +93,14 @@ def test_determinism():
 
 def failure_counts(graphs, budget_constant=10.0):
     """Outcome counts ("" for success) over every 2-factor of ``graphs``;
-    every trace must replay."""
+    every trace, failed ones too, must replay to the edge set that the
+    set-based replay finds."""
     counts = collections.Counter()
     for g in graphs:
         cert = nh.certify(g)
         for f in nh.enumerate_two_factors(g):
             tr = nh.two_factor_to_hamilton(g, f, cert, budget_constant)
-            nh.replay(g, f, tr)
+            assert nh.replay(g, f, tr) == set_replay(g, f, tr), (f.components, tr)
             counts[tr.failure_reason] += 1
     return counts
 
@@ -192,10 +193,11 @@ def test_replay_rejects_corrupt_trace():
 
 
 @pytest.mark.parametrize("op", ["insert", "delete"])
-@pytest.mark.parametrize("v", [-1, 6])
+@pytest.mark.parametrize("v", [-1, 6, 2.0, 3.5])
 def test_replay_rejects_out_of_range_vertex(op, v):
-    # a failed trace is still audited: -1 must not index the last row, and
-    # 6 = n must not raise IndexError
+    # a failed trace is still audited: -1 must not index the last row, 6 = n
+    # must not raise IndexError, and a float inside 0..5 must not raise
+    # TypeError
     k6 = nh.complete(6)
     f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     tr = nh.two_factor_to_hamilton(k6, f, nh.certify(k6))
@@ -245,6 +247,23 @@ def test_replay_agrees_with_set_replay_on_mutated_traces():
     for part in ("[(", "outside", "non-edge", "already-present", "absent", "unknown op",
                  "not a Hamilton cycle", "differs"):
         assert any(part in got for got in outcomes), part
+
+
+def test_replay_rejects_recorded_non_cycles():
+    # the one walk over the recorded cycle rejects what is_hamilton_cycle
+    # rejects, and returns the cycle's edges otherwise
+    c5 = nh.cycle(5)
+    f = hamilton_factor(c5)
+    tr = nh.two_factor_to_hamilton(c5, f, nh.certify(c5))
+    for seq in [(2, 1, 0, 4, 3), (1, 2, 3, 4, 0)]:
+        good = dataclasses.replace(tr, hamilton_cycle=seq)
+        assert nh.replay(c5, f, good) == set_replay(c5, f, good) == f.edges()
+    for seq in [(0, 1, 2, 3, 3), (0, 1, 2, 3, -1), (0, -4, 2, 3, 4), (0, 1, 2, 3, 5),
+                (0, 1, 7, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 4, 0), (0, 2, 1, 3, 4),
+                (-1, 1, 2, 3, 4), (5, 1, 2, 3, 4), (0, 1, 2.0, 3, 4), ()]:
+        bad = dataclasses.replace(tr, hamilton_cycle=seq)
+        with pytest.raises(InconsistentTrace, match="not a Hamilton cycle"):
+            nh.replay(c5, f, bad)
 
 
 def test_replay_rejects_wrong_factor():
