@@ -11,11 +11,14 @@ list of covers, read by the near-Hamilton counts for any k >= 0; one cover
 table memoizes the generating functions of G[X] for every mask X, read by
 the histogram and by ``phi``.  All of them run up to ENUM_CAP vertices.
 Hamilton cycles are counted by the Held-Karp subset DP over the live subsets
-of each popcount layer, on int64 residues mod 2^64 and, where 2h may not
+of each popcount layer, met in the middle: the layers up to (n - 1) // 2
+are built and one join pairs each path from vertex 0 with the reversed rest
+of its cycle.  It runs on int64 residues mod 2^64 and, where 2h may not
 fit, mod the permanent's first prime.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -64,25 +67,34 @@ def validate_two_factor(g, f):
 
 def _component_masks(g, f, have=None):
     """Check ``f`` as ``validate_two_factor`` promises, the partition first,
-    then each component's length and edges, and return the vertex mask of
-    each component, in order.  Given a list ``have`` of n zeros, the edge
-    checks also fill it with the factor's edges as one bitset row per
-    vertex, a 2-vertex component being one edge."""
+    then each component's length and edges, and return each component's
+    vertex mask and its vertices as ints, in order.  Given a list ``have``
+    of n zeros, the edge checks also fill it with the factor's edges as one
+    bitset row per vertex, a 2-vertex component being one edge."""
     rows = g.rows
-    masks, covered, size = [], 0, 0
+    out, covered, size = [], 0, 0
     try:
         for comp in f.components:
             m = 0
             for v in comp:
                 m |= 1 << v
-            masks.append(m)
+            out.append((m, comp))
             covered |= m
             size += len(comp)
     except (ValueError, TypeError):  # a negative or non-integer vertex
         covered = -1
+    if type(covered) is not int:
+        # numpy integers shift into numpy masks, which wrap at their width:
+        # check again on the vertices taken to ints, numpy bools refused
+        try:
+            ints = TwoFactor(tuple(tuple(map(operator.index, c)) for c in f.components))
+        except TypeError:
+            covered = -1
+        else:
+            return _component_masks(g, ints, have)
     if size != g.n or covered != (1 << g.n) - 1:
         raise InvalidParameters("two-factor components must partition the vertex set")
-    for comp in f.components:
+    for _, comp in out:
         if len(comp) < 2:
             raise InvalidParameters("component shorter than 2")
         u = comp[0]
@@ -95,7 +107,7 @@ def _component_masks(g, f, have=None):
                 have[u] |= 1 << v
                 have[v] |= 1 << u
             u = v
-    return masks
+    return out
 
 
 def _components(rows, free, visit):
@@ -242,10 +254,14 @@ def factor_histogram(g):
 def hamilton_count_exact(g):
     """h(G) by dynamic programming over (visited-subset, endpoint) states.
 
-    Paths are rooted at vertex 0 and closed back to it, so each cycle is
-    counted twice, and 2h <= min((n-1)!, per(A)).  One pass gives 2h mod
-    2^64; ``crt_lift`` adds a pass mod PRIMES[0] unless (n-1)! or the
-    Minc-Bregman bound on per(A) is below 2^64, and 2^64 (2^31 - 1) > 23!.
+    Paths are rooted at vertex 0 and built up to (n - 1) // 2 edges; one
+    join multiplies the counts of the two halves of each cycle, split at
+    the same vertex, and sums the products.  Each cycle is counted twice,
+    once per direction, and 2h <= min((n-1)!, per(A)).  One pass gives 2h
+    mod 2^64, its products wrapping exactly in int64; ``crt_lift`` adds a
+    pass mod PRIMES[0], whose products of two residues stay below 2^62,
+    unless (n-1)! or the Minc-Bregman bound on per(A) is below 2^64, and
+    2^64 (2^31 - 1) > 23!.
     """
     n = g.n
     check_cap(n, HAMILTON_CAP, "hamilton_count_exact")
@@ -257,39 +273,61 @@ def hamilton_count_exact(g):
 
 def _hamilton_dp(g, p=None):
     """2h(G) mod 2^64, or mod ``p``, by the Held-Karp DP over popcount
-    layers of the subsets of 1..n-1, kept sparse: each layer holds only its
-    live masks.
+    layers of the subsets of 1..n-1, kept sparse and met in the middle: only
+    the layers up to L = (n - 1) // 2 are stored, and one more step joins
+    the two halves of every cycle.
 
-    Bit u - 1 of a mask stands for vertex u; the value at (u, mask) counts
-    the paths that start at 0, visit exactly 0 and the mask, and end at u.
+    Bit u - 1 of a mask stands for vertex u; f(S, u), the value at (u, S),
+    counts the paths that start at 0, visit exactly 0 and S, and end at u.
     A layer is the ascending array ``masks`` and the int64 table ``cnt``,
-    with ``cnt[u - 1, pos]`` for ``masks[pos]``.  For each endpoint u, the
-    counts of u's neighbors are summed over the masks without u, and the
-    nonzero sums go to the masks with u added; those are stamped into
-    ``live``, a flag per subset, and ``rank`` maps the next layer's masks
-    to their positions.  An endpoint with fewer non-neighbors than
-    neighbors takes the layer's column total, summed once per layer, less
-    its non-neighbors' rows; its own row adds nothing, being zero at the
-    masks without u.  The DP only adds, so cells that wrap stay exact mod
-    2^64 and a zero residue can be dropped; mod p < 2^31, each sum of at
-    most n - 1 residues is reduced while it is below 2^36.
+    with ``cnt[u - 1, pos]`` for ``masks[pos]`` and a zero last column.
+    For each endpoint u, the counts of u's neighbors are summed over the
+    masks without u, and the nonzero sums go to the masks with u added;
+    those are stamped into ``live``, a flag per subset, and ``rank`` maps
+    the next layer's masks to their positions.  An endpoint with fewer
+    non-neighbors than neighbors takes the layer's column total, summed
+    once per layer, less its non-neighbors' rows; its own row adds nothing,
+    being zero at the masks without u.
+
+    The join: split each directed cycle from 0 at the vertex u reached
+    after L + 1 edges.  The rest of the cycle, reversed, is a path from 0
+    to u through the complement, so with full = 2^(n-1) - 1,
+    2h = sum over u and over masks M without u of layer L of
+    f(M | bit(u), u) f(full ^ M, u).  The first factor is the sum that
+    would go to layer L + 1, taken from layer L as in any other step.
+    For odd n, full ^ M is in layer L and the second factor is read from
+    its table; for even n it is in the unstored layer L + 1, and is read
+    from the step's sums at the mask full ^ M ^ bit(u) of layer L.  Either
+    lookup is one gather through ``rank``, which is -1, the zero column,
+    at the masks of the layer's popcount that are not live.
+
+    The DP only adds and the join multiplies, so cells, products and sums
+    that wrap stay exact mod 2^64, and a zero residue can be dropped.  Mod
+    p < 2^31, each sum of at most n - 1 residues is reduced while it is
+    below 2^36, and each product of two residues while it is below 2^62.
     """
     n = g.n
     rows = g.rows
     size = 1 << (n - 1)
+    full = size - 1
     live = np.zeros(size, dtype=bool)
-    rank = np.zeros(size, dtype=np.int32)
+    # a layer's table ends in a zero column, position -1, which the masks
+    # of its popcount that are not live keep as their rank
+    rank = np.full(size, -1, dtype=np.int32)
     # layer 1: the one-edge paths from 0, one per neighbor u, mask 1 << (u - 1)
     first = np.array([u - 1 for u in _bits(rows[0])], dtype=np.int32)
     masks = np.left_shift(1, first, dtype=np.int32)
-    cnt = np.zeros((n - 1, len(first)), dtype=np.int64)
+    rank[masks] = np.arange(len(first), dtype=np.int32)
+    cnt = np.zeros((n - 1, len(first) + 1), dtype=np.int64)
     cnt[first, np.arange(len(first))] = 1
     # rows of the DP that may precede u on a path: its neighbors other than
     # 0; and the rows of its non-neighbors, for the dense endpoints
     preds = [[v - 1 for v in _bits(rows[u] & ~1)] for u in range(n)]
     nonpreds = [[v - 1 for v in _bits((1 << n) - 2 & ~rows[u] & ~(1 << u))] for u in range(n)]
     dense = [0 < u and len(nonpreds[u]) < len(preds[u]) for u in range(n)]
-    for _ in range(2, n):
+    two_h = 0
+    for layer in range(2, (n + 1) // 2 + 1):
+        join = 2 * layer >= n
         steps = []
         total = cnt.sum(axis=0) if any(dense) else None
         for u in range(1, n):
@@ -307,22 +345,36 @@ def _hamilton_dp(g, p=None):
                     acc += cnt[v][src]
             if p:
                 acc %= p
+            if join:
+                # acc[j] = f(masks[src[j]] | bit, u); its mate is the rest of
+                # the cycle, full ^ masks[src[j]], reversed
+                mate = full ^ masks[src]
+                if n % 2:
+                    other = cnt[u - 1]
+                else:
+                    other = np.zeros(len(masks) + 1, dtype=np.int64)
+                    other[src] = acc
+                    mate ^= bit
+                prod = acc * other[rank[mate]]
+                if p:
+                    prod %= p
+                two_h += int(prod.sum())
+                continue
             keep = np.flatnonzero(acc)
             to = masks[src[keep]] | bit
             live[to] = True
             steps.append((u - 1, to, acc[keep]))
+        if join:
+            break
         # drop the old table before the new one is allocated
         cnt = None
         masks = np.flatnonzero(live).astype(np.int32)
         live[masks] = False
         rank[masks] = np.arange(len(masks), dtype=np.int32)
-        cnt = np.zeros((n - 1, len(masks)), dtype=np.int64)
+        cnt = np.zeros((n - 1, len(masks) + 1), dtype=np.int64)
         for row, to, val in steps:
             cnt[row][rank[to]] = val
-    # the last layer is the full mask alone, or empty
-    if not len(masks):
-        return 0
-    return sum(int(cnt[v - 1, 0]) for v in _bits(rows[0])) % (p or 1 << 64)
+    return two_h % (p or 1 << 64)
 
 
 def is_hamilton_cycle(g, seq):

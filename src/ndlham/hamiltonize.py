@@ -162,7 +162,7 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
     operations of the current merge.
     """
     check_certificate(g, cert, "two_factor_to_hamilton")
-    masks = _component_masks(g, f)
+    comps = _component_masks(g, f)
     n, rows = g.n, g.rows
     budget = merge_budget(n, cert.d, cert.lam, budget_constant)
     trace, per_merge, start = [], [], 0
@@ -179,18 +179,18 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
             failure_reason=failure_reason,
         )
 
-    if len(masks) == 1 and n >= 3:  # already a Hamilton cycle
+    if len(comps) == 1 and n >= 3:  # already a Hamilton cycle
         per_merge.append(0)
-        return end(f.components[0])
+        return end(comps[0][1])
 
     # a validated 2-factor partitions V: the unabsorbed vertices ``rest``
     # are exactly the vertices off the path, and each pending component
     # carries its mask; components are taken in the order of their lowest
     # vertex
     full = (1 << n) - 1
-    first, *pending = sorted(zip(masks, f.components), key=lambda mc: mc[0] & -mc[0])
+    first, *pending = sorted(comps, key=lambda mc: mc[0] & -mc[0])
     rest = full & ~first[0]
-    path = tuple(first[1])
+    path = first[1]
     if len(path) > 2:  # a 2-cycle is its own path
         hooked = [v for v in path if rows[v] & rest]
         if not hooked:
@@ -281,7 +281,8 @@ def replay(g, f, trace):
         except (TypeError, IndexError, ValueError):
             ok = False
         if not ok:
-            raise InconsistentTrace(f"{op} names a vertex outside 0..{n - 1}: {_e(u, v)}")
+            # in the op's order: a vertex that is no int may not compare
+            raise InconsistentTrace(f"{op} names a vertex outside 0..{n - 1}: {(u, v)}")
         if op == "insert":
             if not row & bit:
                 raise InconsistentTrace(f"inserted non-edge {_e(u, v)}")

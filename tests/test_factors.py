@@ -221,9 +221,21 @@ def test_hamilton_dp_residues():
             assert _hamilton_dp(g, q) == 2 * h % q
 
 
+def test_hamilton_dp_complete_graphs():
+    # 2h(K_n) = (n-1)!: the join reads its second factor from the stored
+    # layer for odd n and from the step's own sums for even n; n = 3 and 4
+    # join straight from layer 1
+    for n in range(3, 13):
+        g = nh.complete(n)
+        assert _hamilton_dp(g) == math.factorial(n - 1) % 2**64, n
+        for q in (3, 251, PRIMES[0]):
+            assert _hamilton_dp(g, q) == math.factorial(n - 1) % q, (n, q)
+
+
 def test_hamilton_matches_inclusion_exclusion():
-    # beyond the corpus (n <= 14) and the permutation brute force
-    graphs = [nh.random_regular(18, 4, s) for s in (0, 1)]
+    # beyond the corpus (n <= 14) and the permutation brute force, with the
+    # sparse odd n = 17
+    graphs = [nh.random_regular(18, 4, s) for s in (0, 1)] + [nh.random_regular(17, 4, 0)]
     graphs += [nh.circulant(18, (1, 2, 3, 4)), nh.paley(17)]
     for g in graphs:
         h = ie_hamilton_count(g)
@@ -252,6 +264,8 @@ def test_hamilton_dp_empty_layers():
         nh.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # path P4
         nh.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2 K3
         nh.from_edges(4, [(1, 2), (2, 3), (1, 3)]),  # vertex 0 isolated
+        nh.cycle(5),  # C5: one cycle, odd n
+        nh.complete(3),  # the triangle, joined straight from layer 1
     ]
     for g in cases:
         h = brute_hamilton_count(g)
@@ -308,7 +322,7 @@ def test_hamilton_pass_count(monkeypatch, g, h, passes):
 
 
 def test_hamilton_live_state_memory():
-    # the live masks need about 20 MB here, a dense two-layer table 131 MB
+    # the live masks need about 12 MB here, a dense two-layer table 131 MB
     g = nh.random_regular(22, 4, 0)
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -193,11 +194,11 @@ def test_replay_rejects_corrupt_trace():
 
 
 @pytest.mark.parametrize("op", ["insert", "delete"])
-@pytest.mark.parametrize("v", [-1, 6, 2.0, 3.5])
+@pytest.mark.parametrize("v", [-1, 6, 2.0, 3.5, "a"])
 def test_replay_rejects_out_of_range_vertex(op, v):
     # a failed trace is still audited: -1 must not index the last row, 6 = n
-    # must not raise IndexError, and a float inside 0..5 must not raise
-    # TypeError
+    # must not raise IndexError, and a float inside 0..5 or a string must
+    # not raise TypeError
     k6 = nh.complete(6)
     f = two_factor_from_components([(0, 1, 2), (3, 4, 5)])
     tr = nh.two_factor_to_hamilton(k6, f, nh.certify(k6))
@@ -206,6 +207,29 @@ def test_replay_rejects_out_of_range_vertex(op, v):
         nh.replay(k6, f, bad)
     with pytest.raises(InconsistentTrace, match="outside 0..5"):
         nh.replay(k6, f, dataclasses.replace(bad, trace=((op, 3, v),)))
+
+
+def test_numpy_integer_vertices():
+    # a 2-factor with np.int64 vertices converts and replays as its int copy
+    g = nh.random_regular(10, 4, 2)
+    cert = nh.certify(g)
+    for f in nh.enumerate_two_factors(g):
+        f64 = nh.TwoFactor(tuple(tuple(np.int64(v) for v in c) for c in f.components))
+        tr, tr64 = nh.two_factor_to_hamilton(g, f, cert), nh.two_factor_to_hamilton(g, f64, cert)
+        assert tr64 == tr
+        assert all(type(v) is int for v in tr64.hamilton_cycle)
+        assert nh.replay(g, f64, tr64) == nh.replay(g, f, tr)
+        failed = dataclasses.replace(tr, success=False)
+        assert nh.replay(g, f64, failed) == nh.replay(g, f, failed)
+    # past bit 63 a numpy mask would wrap; the ints' masks do not
+    c70 = nh.cycle(70)
+    f = nh.TwoFactor((tuple(np.int64(v) for v in range(70)),))
+    tr = nh.two_factor_to_hamilton(c70, f, nh.certify(c70))
+    assert tr.success and tr.hamilton_cycle == tuple(range(70))
+    assert nh.replay(c70, f, tr) == f.edges()
+    # operator.index refuses a numpy bool, as it refuses a float
+    with pytest.raises(InvalidParameters, match="partition"):
+        nh.factors.validate_two_factor(nh.cycle(3), nh.TwoFactor(((0, np.True_, 2),)))
 
 
 def _mutated(g, tr):
