@@ -1,5 +1,13 @@
 """Exact 0-1 permanents (Glynn's formula, meet in the middle over the row
-signs) and the log-domain permanent bounds used by the counting arguments."""
+signs, with the sign patterns whose terms vanish dropped) and the log-domain
+permanent bounds used by the counting arguments.
+
+Glynn's sum runs over sign vectors d with d_0 = +1.  Rows 1..n-1 are split
+into a low and a high half, chosen greedily so that few columns have rows on
+both sides.  A column whose rows other than row 0 all lie in one half has a
+sum fixed by that half's signs alone: the half's patterns where that sum is 0
+contribute 0 and are dropped, and the others fold the sum into their weight.
+Only the mixed columns are multiplied in the join of the two halves."""
 
 import math
 from collections import Counter
@@ -8,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, InvariantViolation, check_cap
+from .graph import _bits
 
-# Glynn visits 2^(n-1) sign vectors at n products each; beyond this is not
-# desk scale
+# a dense matrix, the worst case, makes Glynn visit all 2^(n-1) sign vectors
+# at n products each; beyond this is not desk scale
 EXACT_CAP = 28
 PRIMES = (2**31 - 1, 2**31 - 19)  # the residue passes after the one mod 2^64
 
@@ -49,7 +58,8 @@ def permanent_exact(m):
     check_cap(n, EXACT_CAP, "permanent_exact")
     if any(r == 0 for r in m.rows):
         return 0
-    a = np.array([[r >> j & 1 for j in range(n)] for r in m.rows], dtype=np.int64)
+    # n <= 28, so every bitset fits int64
+    a = np.array(m.rows, dtype=np.int64)[:, None] >> np.arange(n) & 1
     total = _glynn(a)
     if total % (1 << (n - 1)):
         raise InvariantViolation(f"permanent_exact: Glynn sum {total} is not divisible by 2^{n - 1}")
@@ -61,42 +71,106 @@ def _glynn(a, p=None):
     """Glynn's sum 2^(n-1) per(A) of the n x n 0-1 int64 array ``a``, meet
     in the middle, mod 2^64 by int64 wraparound or mod a prime ``p`` < 2^31.
 
-    Rows 1..n-1 are split into n//2 low and (n-1)//2 high rows.  Each half
-    gets an n x 2^rows table of its share of the column sums for every sign
-    pattern of its rows, built by doubling (flipping row i subtracts 2 a_i),
-    and the sign of each pattern.  Each high pattern then takes the column
-    products for all low patterns at once and one signed dot product.  With
-    wraparound every product and sum is exact mod 2^64.  Mod p, at most 6
-    column sums (each |sum| <= n <= 28, so their product is below 2^29) are
-    multiplied before a reduction, so no product reaches 2^60, and a dot
-    product of 2^(n//2) residues stays below 2^45.
+    Row 0 keeps d_0 = +1; ``_split`` divides rows 1..n-1 into n//2 low and
+    (n-1)//2 high rows.  A column whose rows other than row 0 all lie in one
+    half (or that has no such row) is that half's: for every sign pattern of
+    the half, ``_half`` folds the column's whole sum into the pattern's
+    signed weight, and drops the patterns of weight 0.  Dropping is exact
+    because each term of a dropped pattern is a multiple of its weight, so 0
+    in the working modulus.  A mixed column's sum is the low pattern's share
+    plus the high pattern's, so each block of high patterns takes the product
+    over the mixed columns only, against all kept low patterns, and one dot
+    product with the low weights.  A block holds at most as many sums as a
+    dense matrix's whole low table, n x 2^(n//2), the working set of one high
+    pattern when nothing is dropped.
+
+    With wraparound every product and sum is exact mod 2^64.  Mod p, at most
+    6 column sums (each |sum| <= n <= 28, so their product is below 2^29)
+    are multiplied before a reduction, and the first group also takes the
+    weight, a residue or a sign, so no product reaches 2^60; a sum of at most
+    2^(n//2) residues stays below 2^45, and a high weight times a residue
+    below 2^62.
     """
     n = len(a)
-
-    def table(rows, start):
-        sums = np.zeros((n, 1 << len(rows)), dtype=np.int64)
-        sums[:, 0] = start
-        sign = np.ones(1 << len(rows), dtype=np.int64)
-        for b, i in enumerate(rows):
-            sums[:, 1 << b:2 << b] = sums[:, :1 << b] - 2 * a[i][:, None]
-            sign[1 << b:2 << b] = -sign[:1 << b]
-        return sums, sign
-
-    split = 1 + n // 2
-    low, low_sign = table(range(1, split), a.sum(axis=0))
-    high, high_sign = table(range(split, n), 0)
-    total = 0
-    for k in range(high.shape[1]):
-        sums = low + high[:, k:k + 1]
+    low_rows, high_rows, low_cols, high_cols = _split(a)
+    mixed = list(_bits(low_cols & high_cols))
+    start = a.sum(axis=0)
+    low, low_w = _half(a, low_rows, start, list(_bits(((1 << n) - 1) & ~high_cols)), p)
+    # the low half's start already holds a mixed column's all-plus sum
+    start[mixed] = 0
+    high, high_w = _half(a, high_rows, start, list(_bits(high_cols & ~low_cols)), p)
+    low, high = low[mixed, None, :], high[mixed, :, None]
+    block = max(1, (n << len(low_rows)) // max(1, low.size))
+    acc = np.empty(len(high_w), dtype=np.int64)
+    for k in range(0, len(high_w), block):
+        sums = low + high[:, k:k + block]
         if p is None:
-            prods = np.prod(sums, axis=0)
+            acc[k:k + block] = np.prod(sums, axis=0) @ low_w
         else:
-            prods = np.prod(sums[:6], axis=0) % p
-            for i in range(6, n, 6):
-                prods = prods * np.prod(sums[i:i + 6], axis=0) % p
-        s = int(low_sign @ prods)
-        total += s if high_sign[k] > 0 else -s
-    return total % (p or 1 << 64)
+            acc[k:k + block] = _product(sums, p, low_w).sum(axis=1)
+    if p is None:
+        return int(high_w @ acc) % (1 << 64)
+    return int((acc % p * high_w % p).sum()) % p
+
+
+def _split(a):
+    """Rows 1..n-1 of ``a`` as n//2 low and (n-1)//2 high rows, with the
+    bitsets of the columns that have a low row and of those that have a high
+    row.  The low rows are picked one at a time, each pick leaving the
+    fewest open columns (columns with a low row and a row among 1..n-1 not
+    yet low), the lowest row on a tie.  At the end the open columns are the
+    mixed ones.  On a matrix where every pick opens and closes as many
+    columns as any other, such as J or the adjacency matrix of K_n, the low
+    rows are 1..n//2.  O(n^2) operations on n-bit bitsets."""
+    n = len(a)
+    rows = [int(r) for r in a @ (1 << np.arange(n))]
+    # rest[j]: the rows among 1..n-1 of column j that are not low yet
+    rest = [int(c) for c in a[1:].T @ (2 << np.arange(n - 1))]
+    low_cols = 0
+    low, high = [], list(range(1, n))
+    for _ in range(n // 2):
+        last = sum(1 << j for j, c in enumerate(rest) if not c & (c - 1))
+        r = min(high, key=lambda i: (rows[i] & ~low_cols).bit_count() - (rows[i] & last).bit_count())
+        low.append(r)
+        high.remove(r)
+        low_cols |= rows[r]
+        for j in _bits(rows[r]):
+            rest[j] &= ~(1 << r)
+    high_cols = 0
+    for i in high:
+        high_cols |= rows[i]
+    return low, high, low_cols, high_cols
+
+
+def _half(a, rows, start, fold, p):
+    """One half's table: its share of every column sum, from ``start``, for
+    each sign pattern of ``rows`` (n x 2^len(rows), built by doubling:
+    flipping row i subtracts 2 a_i), and each pattern's weight, its sign times
+    the product of the sums of the columns listed in ``fold``.  Patterns of
+    weight 0 are dropped."""
+    sums = np.empty((len(a), 1 << len(rows)), dtype=np.int64)
+    sums[:, 0] = start
+    sign = np.ones(1 << len(rows), dtype=np.int64)
+    for b, i in enumerate(rows):
+        sums[:, 1 << b:2 << b] = sums[:, :1 << b] - 2 * a[i][:, None]
+        sign[1 << b:2 << b] = -sign[:1 << b]
+    weight = _product(sums[fold], p, sign)
+    keep = np.flatnonzero(weight)
+    return sums[:, keep], weight[keep]
+
+
+def _product(sums, p, weight):
+    """``weight`` times the product of ``sums`` over axis 0: wrapping mod 2^64,
+    or mod p with a reduction after each group of at most 6 rows."""
+    if p is None:
+        return np.prod(sums, axis=0) * weight
+    out = np.prod(sums[:6], axis=0)
+    out *= weight
+    out %= p
+    for i in range(6, len(sums), 6):
+        out *= np.prod(sums[i:i + 6], axis=0)
+        out %= p
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 import ndlham as nh
 import ndlham.permanent
 from ndlham.errors import InvalidParameters, InvariantViolation, TooLarge
-from ndlham.permanent import PRIMES, _glynn
+from ndlham.permanent import PRIMES, _glynn, _split
 from conftest import brute_permanent, complement, ryser_permanent
 
 
@@ -57,6 +57,58 @@ def test_glynn_residues():
         assert _glynn(a) == glynn_sum
         for q in (3, 251):
             assert _glynn(a, q) == glynn_sum % q
+
+
+def zero_column():
+    """rr(12,4,0)'s adjacency matrix with column 5 cleared: per(A) = 0."""
+    return nh.ZeroOneMatrix(12, tuple(r & ~(1 << 5) for r in nh.random_regular(12, 4, 0).rows))
+
+
+def row0_only_column():
+    """rr(12,4,1)'s adjacency matrix whose column 3 has its only 1 in row 0."""
+    rows = [r & ~(1 << 3) for r in nh.random_regular(12, 4, 1).rows]
+    rows[0] |= 1 << 3
+    return nh.ZeroOneMatrix(12, tuple(rows))
+
+
+# (matrix, (low, high)): how many columns the split gives wholly to the low
+# and to the high half, or None where at least one column is folded
+SPLIT_CASES = {
+    **{f"rr({n},4,{s})": (nh.random_regular(n, 4, s), None) for n in (12, 14, 16) for s in (0, 1)},
+    "paley13": (nh.paley(13), None),  # d = 6
+    "circulant(16,(1,2))": (nh.circulant(16, (1, 2)), None),
+    "petersen": (nh.petersen(), None),  # odd degree: folds, drops nothing
+    "complement-rr(14,4,0)": (complement(nh.random_regular(14, 4, 0)), (0, 0)),
+    "zero-column": (zero_column(), None),
+    "row0-only-column": (row0_only_column(), None),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_glynn_drop_and_fold(name):
+    m, sides = SPLIT_CASES[name]
+    a = int64_matrix(m)
+    low, high, low_cols, high_cols = _split(a)
+    assert sorted(low + high) == list(range(1, m.n))
+    assert (len(low), len(high)) == (m.n // 2, (m.n - 1) // 2)
+    assert low_cols == int(a[low].any(axis=0) @ (1 << np.arange(m.n)))
+    assert high_cols == int(a[high].any(axis=0) @ (1 << np.arange(m.n)))
+    folded = (m.n - high_cols.bit_count(), (high_cols & ~low_cols).bit_count())
+    if sides is None:
+        assert sum(folded) > 0, folded
+    else:
+        assert folded == sides
+    glynn_sum = 2 ** (m.n - 1) * ryser_permanent(m.rows, m.n)
+    assert _glynn(a) == glynn_sum % 2**64
+    for q in (3, 251, PRIMES[0]):
+        assert _glynn(a, q) == glynn_sum % q
+
+
+def test_split_keeps_dense_order():
+    # in J every pick opens and closes as many columns as any other
+    for n in (2, 3, 10, 11):
+        a = np.ones((n, n), dtype=np.int64)
+        assert _split(a)[:2] == (list(range(1, n // 2 + 1)), list(range(n // 2 + 1, n)))
 
 
 def derangements(n):
@@ -120,15 +172,19 @@ def permuted(m, row_perm, col_perm):
 
 
 def test_permutation_invariance():
+    # the chosen split follows the row order, so a sparse matrix takes a
+    # different split under each permutation
     rng = random.Random(9)
-    m = nh.ZeroOneMatrix(6, tuple(rng.getrandbits(6) for _ in range(6)))
-    base = nh.permanent_exact(m)
-    for _ in range(5):
-        rp = list(range(6))
-        cp = list(range(6))
-        rng.shuffle(rp)
-        rng.shuffle(cp)
-        assert nh.permanent_exact(permuted(m, rp, cp)) == base
+    dense = nh.ZeroOneMatrix(6, tuple(rng.getrandbits(6) for _ in range(6)))
+    sparse = nh.adjacency_matrix_of(nh.random_regular(12, 4, 2))
+    for m in (dense, sparse):
+        base = nh.permanent_exact(m)
+        for _ in range(5):
+            rp = list(range(m.n))
+            cp = list(range(m.n))
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+            assert nh.permanent_exact(permuted(m, rp, cp)) == base
 
 
 def test_size_cap():
