@@ -44,10 +44,17 @@ def check_cap(n, cap, what):
         raise TooLarge(f"{what}: n={n} exceeds size cap {cap}")
 
 
+def is_int(x):
+    """Whether x is an integer other than a bool: True would otherwise
+    silently act as 1."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def check_seed(seed, what):
-    """Raise InvalidParameters unless seed is a non-negative integer:
-    random.Random takes abs(seed), so -1 would silently act as 1."""
-    if not isinstance(seed, Integral) or seed < 0:
+    """Raise InvalidParameters unless seed is a non-negative integer other
+    than a bool: random.Random takes abs(seed), so -1 would silently act
+    as 1."""
+    if not is_int(seed) or seed < 0:
         raise InvalidParameters(f"{what} must be a non-negative integer, got {seed!r}")
 
 

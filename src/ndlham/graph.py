@@ -28,15 +28,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.rows) != self.n:
             raise InvalidParameters("adjacency must have one row per vertex")
-        mask = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
-            if row & ~mask:
-                raise InvalidParameters(f"row {i} references vertices >= n")
-            if row >> i & 1:
-                raise InvalidParameters(f"self-loop at vertex {i}")
-            for j in _bits(row):
-                if not self.rows[j] >> i & 1:
-                    raise InvalidParameters(f"adjacency not symmetric at ({i},{j})")
+        # rows within n bits unpack whole (n^2 bytes); any fault is then on the matrix
+        if not self.rows or (min(self.rows) >= 0 and not max(self.rows) >> self.n):
+            a = _unpack(self.rows, self.n)
+            if not a.diagonal().any() and (a == a.T).all():
+                return
+        raise InvalidParameters(_first_fault(self.rows))
 
     @property
     def degrees(self):
@@ -65,10 +62,7 @@ class Graph:
         return sum(self.degrees) // 2
 
     def adjacency_matrix(self):
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges():
-            a[u, v] = a[v, u] = 1.0
-        return a
+        return _unpack(self.rows, self.n).astype(np.float64)
 
     def induced(self, vertices):
         """Induced subgraph on ``vertices``, relabeled 0..k-1 in sorted order."""
@@ -84,6 +78,28 @@ class Graph:
     def relabeled(self, perm):
         """Image under the vertex relabeling i -> perm[i]."""
         return from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
+
+
+def _unpack(rows, n):
+    """The n x n uint8 0/1 matrix whose row i holds the bits of the n-bit
+    int rows[i], bit j in column j."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
+def _first_fault(rows):
+    """The message of the first fault of the bitset rows, by vertex: a bit
+    at or above n, a self-loop, or an edge missing from the other end."""
+    mask = (1 << len(rows)) - 1
+    for i, row in enumerate(rows):
+        if row & ~mask:
+            return f"row {i} references vertices >= n"
+        if row >> i & 1:
+            return f"self-loop at vertex {i}"
+        for j in _bits(row):
+            if not rows[j] >> i & 1:
+                return f"adjacency not symmetric at ({i},{j})"
 
 
 def _bits(x):
@@ -216,22 +232,23 @@ def write_edge_list(g):
 
 
 def read_edge_list(text):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    """Parse the format above, setting the row bits as each edge line is
+    read; the first faulty line raises ParseError naming it."""
+    lines = [(ln, parts) for ln in text.splitlines()
+             if (parts := ln.split()) and not parts[0].startswith("#")]
     if not lines:
         raise ParseError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"bad header line: {lines[0]!r}")
+    head, parts = lines[0]
+    if len(parts) != 2:
+        raise ParseError(f"bad header line: {head!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError(f"bad header line: {lines[0]!r}") from None
+        raise ParseError(f"bad header line: {head!r}") from None
     if len(lines) - 1 != m:
         raise ParseError(f"header declares {m} edges, found {len(lines) - 1}")
-    seen = set()
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    rows = [0] * n
+    for ln, parts in lines[1:]:
         if len(parts) != 2:
             raise ParseError(f"bad edge line: {ln!r}")
         try:
@@ -242,9 +259,8 @@ def read_edge_list(text):
             raise ParseError(f"vertex out of range in line {ln!r}")
         if u == v:
             raise ParseError(f"self-loop in line {ln!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if rows[u] >> v & 1:
             raise ParseError(f"duplicate edge in line {ln!r}")
-        seen.add(key)
-        edges.append(key)
-    return from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))

@@ -16,10 +16,11 @@ the (S,S) pairs with |S| = 2 skip the product: their e is A[i,j] or
 Blocks hold at most ``_BLOCK`` rows, so one block's arrays stay in cache,
 and each generator fills the same buffers for every block it yields: a
 block is valid only until the next one is drawn.  A random k-subset is
-drawn by a sort threshold: n iid uniform keys, a sorted copy of them, and
-the columns whose key is <= the k-th smallest.  When the k-th and
-(k+1)-th smallest keys tie, which has probability below n^2 2^-54, the
-row's keys are drawn again, so every set has exactly its drawn size.
+drawn by a sort threshold: n iid uniform 32-bit keys, two to each 64-bit
+word of the generator, a sorted copy of them, and the columns whose key is
+<= the k-th smallest.  When the k-th and (k+1)-th smallest keys tie, which
+has probability at most C(n,2) 2^-32, the row's keys are drawn again, so
+every set has exactly its drawn size.
 """
 
 import math
@@ -28,7 +29,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InvalidParameters, check_certificate, check_seed
+from .errors import InvalidParameters, check_certificate, check_seed, is_int
 from .graph import _bits, _mask
 
 DEFECT_TOL = 1e-9
@@ -112,7 +113,7 @@ def _pair_blocks(a, cert, sample_count, seed):
     full = np.ones((1, n))
     yield from _kernel(a, cert, [(full, full)], sa)
     if n > 1:
-        two = np.array(list(combinations(range(n), 2)))
+        two = np.transpose(np.triu_indices(n, 1))
         yield (*_judge(cert, 2.0 * a[two[:, 0], two[:, 1]], 2.0, 2.0),
                lambda i: (two[i].tolist(), two[i].tolist()))
     if n <= 16:
@@ -142,12 +143,20 @@ def _same_sets(n, sizes):
             yield s[:k], s[:k]
 
 
+def _keys(rng, *shape):
+    """An array of ``shape`` of iid uniform uint32 keys: the halves of
+    ceil(size/2) raw 64-bit words of ``rng``'s generator, in order."""
+    size = math.prod(shape)
+    return rng.bit_generator.random_raw(-(-size // 2)).view(np.uint32)[:size].reshape(shape)
+
+
 def _subsets(rng, sizes, keys, srt, out):
     """Set row i of the 0/1 block ``out`` to the sizes[i] columns of row i
-    of ``keys`` with the smallest keys: those <= the sizes[i]-th smallest,
-    found in ``srt``, a sorted copy.  A row whose sizes[i]-th and
+    of the uint32 ``keys`` with the smallest keys: those <= the sizes[i]-th
+    smallest, found in ``srt``, a sorted copy.  A row whose sizes[i]-th and
     (sizes[i]+1)-th smallest keys tie would get more columns, so its keys
-    are drawn again from ``rng`` until they do not tie."""
+    are drawn again by ``_keys`` until they do not tie; a tie needs two
+    equal keys, which has probability at most C(n,2) 2^-32 per draw."""
     n = keys.shape[1]
     rows = np.arange(len(sizes))
     nxt = np.minimum(sizes, n - 1)  # a row with sizes[i] = n cannot tie
@@ -158,26 +167,26 @@ def _subsets(rng, sizes, keys, srt, out):
         tied = (sizes < n) & (srt[rows, nxt] == thresh)
         if not tied.any():
             break
-        keys[tied] = rng.random((np.count_nonzero(tied), n))
+        keys[tied] = _keys(rng, np.count_nonzero(tied), n)
     np.less_equal(keys, thresh[:, None], out=out)
 
 
 def _sample_blocks(n, count, seed):
     """(S, T) blocks of ``count`` random pairs from
     ``np.random.default_rng(seed)``.  Per block of b pairs: |S| and |T| are
-    drawn uniform on 1..n, then each set is the columns of a row of b x n
-    iid uniform keys that are <= the row's |S|-th (|T|-th) smallest key, so
-    it is a uniform subset of its size; ``_subsets`` redraws a row whose
-    threshold ties.  The blocks share buffers: each is valid only until the
-    next is drawn."""
+    drawn uniform on 1..n, then 2 x b x n uint32 keys by ``_keys``, and each
+    set is the columns of a row of its b x n keys that are <= the row's
+    |S|-th (|T|-th) smallest key, so it is a uniform subset of its size;
+    ``_subsets`` redraws a row whose threshold ties, S's rows before T's.
+    The blocks share buffers: each is valid only until the next is drawn."""
     rng = np.random.default_rng(seed)
-    keys, srt, s, t = np.empty((4, _BLOCK, n))
+    srt = np.empty((_BLOCK, n), np.uint32)
+    s, t = np.empty((2, _BLOCK, n))
     for start in range(0, count, _BLOCK):
         k = min(_BLOCK, count - start)
-        size_s, size_t = rng.integers(1, n + 1, size=(2, k))
-        for sizes, out in ((size_s, s[:k]), (size_t, t[:k])):
-            rng.random(out=keys[:k])
-            _subsets(rng, sizes, keys[:k], srt[:k], out)
+        sizes = rng.integers(1, n + 1, size=(2, k))
+        for size, keys, out in zip(sizes, _keys(rng, 2, k, n), (s[:k], t[:k])):
+            _subsets(rng, size, keys, srt[:k], out)
         yield s[:k], t[:k]
 
 
@@ -198,8 +207,8 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     positive one.
     """
     check_certificate(g, cert, "verify_mixing")
-    if sample_count < 1:
-        raise InvalidParameters("verify_mixing: sample_count >= 1 required")
+    if not is_int(sample_count) or sample_count < 1:
+        raise InvalidParameters(f"verify_mixing: sample_count must be an integer >= 1, got {sample_count!r}")
     check_seed(seed, "verify_mixing: seed")
     checked, violations = 0, 0
     worst, worst_pair = 0.0, ([], [])

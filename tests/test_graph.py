@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -100,6 +101,56 @@ def test_edge_list_errors():
         nh.read_edge_list("2 2\n0 1")  # count mismatch
     with pytest.raises(ParseError):
         nh.read_edge_list("garbage")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge list"),
+    ("# only a comment\n\n", "empty edge list"),
+    ("garbage", "bad header line: 'garbage'"),
+    ("2 x\n", "bad header line: '2 x'"),
+    ("2 2\n0 1", "header declares 2 edges, found 1"),
+    ("3 1\n0 1 2", "bad edge line: '0 1 2'"),
+    ("3 1\n 0 a", "bad edge line: ' 0 a'"),
+    ("2 1\n0 5", "vertex out of range in line '0 5'"),
+    ("2 1\n-1 0", "vertex out of range in line '-1 0'"),
+    ("2 1\n0 0", "self-loop in line '0 0'"),
+    ("2 2\n0 1\n# c\n1 0 ", "duplicate edge in line '1 0 '"),
+])
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        nh.read_edge_list(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: nh.read_edge_list("-1 0"), "adjacency must have one row per vertex"),
+    (lambda: nh.Graph(2, (0b10,)), "adjacency must have one row per vertex"),
+    (lambda: nh.Graph(2, (0b100, 0)), "row 0 references vertices >= n"),
+    (lambda: nh.Graph(2, (0b10, -1)), "row 1 references vertices >= n"),
+    (lambda: nh.Graph(2, (0b10, 0b11)), "self-loop at vertex 1"),
+    (lambda: nh.Graph(2, (0b10, 0)), "adjacency not symmetric at (0,1)"),
+    (lambda: nh.Graph(3, (0, 0b001, 0)), "adjacency not symmetric at (1,0)"),
+    (lambda: nh.from_edges(2, [(0, 2)]), "edge (0,2) out of range for n=2"),
+    (lambda: nh.from_edges(2, [(1, 1)]), "self-loop at vertex 1"),
+])
+def test_graph_error_messages(build, message):
+    with pytest.raises(InvalidParameters) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("g", [
+    nh.paley(101),  # rows wider than 64 bits
+    nh.random_regular(120, 4, 0),
+    *(nh.from_edges(k, []) for k in (0, 1, 2)),
+], ids=["paley101", "rr120", "empty0", "empty1", "empty2"])
+def test_adjacency_matrix_matches_edges(g):
+    want = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        want[u, v] = want[v, u] = 1.0
+    got = g.adjacency_matrix()
+    assert got.dtype == np.float64 and got.shape == (g.n, g.n)
+    assert (got == want).all()
 
 
 def test_induced_subgraph():

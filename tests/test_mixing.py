@@ -163,9 +163,10 @@ def test_sampler_sizes_and_subsets_uniform():
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_sampler_block_sizes(delta):
-    # a count just below, at and just above one block; the sizes are
-    # replayed from the same generator: per block |S| and |T|, then the
-    # keys of S and of T
+    # a count just below, at and just above one block; the draws are
+    # replayed from the same generator: per block |S| and |T|, then k*n raw
+    # words, whose halves are the uint32 keys of S and then of T (no row
+    # of this seed ties, so nothing is redrawn)
     n, seed = 12, 4
     block = nh.mixing._BLOCK
     count = block + delta
@@ -175,10 +176,12 @@ def test_sampler_block_sizes(delta):
         k = len(s)
         assert k == min(block, count - rows)
         sizes = rng.integers(1, n + 1, size=(2, k))
-        rng.random((2, k, n))
-        for got, want in zip((s, t), sizes):
+        keys = rng.bit_generator.random_raw(k * n).view(np.uint32).reshape(2, k, n)
+        for got, want, key in zip((s, t), sizes, keys):
             assert set(np.unique(got)) <= {0.0, 1.0}
             assert got.sum(axis=1).tolist() == want.tolist()
+            thresh = np.sort(key, axis=1)[np.arange(k), want - 1]
+            assert (got == (key <= thresh[:, None])).all()
         rows += k
     assert rows == count
     g = nh.random_regular(n, 4, 0)
@@ -187,18 +190,18 @@ def test_sampler_block_sizes(delta):
 
 
 def test_sampler_threshold_tie_redrawn():
-    # row 0 ties at its threshold (the 3rd and 4th smallest keys are 0.5),
+    # row 0 ties at its threshold (the 3rd and 4th smallest keys are 5),
     # row 1 ties only below it, row 2 takes every column, row 3 ties at
     # |S| = 1
     keys = np.array([
-        [0.5, 0.1, 0.5, 0.9, 0.3, 0.7],
-        [0.2, 0.2, 0.4, 0.6, 0.8, 0.9],
-        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        [0.3, 0.3, 0.6, 0.7, 0.8, 0.9],
-    ])
+        [5, 1, 5, 9, 3, 7],
+        [2, 2, 4, 6, 8, 9],
+        [5, 5, 5, 5, 5, 5],
+        [3, 3, 6, 7, 8, 9],
+    ], dtype=np.uint32)
     sizes = np.array([3, 3, 6, 1])
     given = keys.copy()
-    out = np.empty_like(keys)
+    out = np.empty(keys.shape)
     nh.mixing._subsets(np.random.default_rng(0), sizes, keys, np.empty_like(keys), out)
     assert out.sum(axis=1).tolist() == sizes.tolist()
     assert out[1].tolist() == [1, 1, 1, 0, 0, 0] and out[2].tolist() == [1] * 6
@@ -209,9 +212,19 @@ def test_sampler_threshold_tie_redrawn():
 def test_verify_mixing_rejects_bad_seed():
     g = nh.petersen()
     cert = nh.certify(g)
-    for seed in (-1, 1.5, "0"):
+    for seed in (-1, 1.5, "0", True):
         with pytest.raises(InvalidParameters, match="seed"):
             nh.verify_mixing(g, cert, sample_count=10, seed=seed)
+
+
+def test_verify_mixing_rejects_bad_sample_count():
+    g = nh.petersen()
+    cert = nh.certify(g)
+    for count in (0, -1, 2.5, "10", True, None):
+        with pytest.raises(InvalidParameters, match="sample_count must be an integer >= 1"):
+            nh.verify_mixing(g, cert, sample_count=count, seed=0)
+    rep = nh.verify_mixing(g, cert, sample_count=np.int64(3), seed=0)
+    assert rep.pairs_checked == 100 + 1 + 45 + 120 + 210 + 3
 
 
 def test_verify_mixing_negative_control():
