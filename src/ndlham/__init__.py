@@ -30,7 +30,6 @@ from .mixing import (
     edge_count,
     expansion_check,
     large_sets_edge,
-    mixing_defect,
     verify_mixing,
 )
 from .permanent import (
@@ -53,7 +52,7 @@ from .factors import (
     phi,
     two_factors_near_hamilton,
 )
-from .hamiltonize import RotationTrace, posa_close, replay, two_factor_to_hamilton
+from .hamiltonize import RotationTrace, replay, two_factor_to_hamilton
 from .experiments import (
     BoundsReport,
     TailDiagnostics,

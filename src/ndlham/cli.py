@@ -4,8 +4,8 @@ Each subcommand declares only the options that change its output, and
 argparse rejects any other with exit 2.  ``gen`` and ``experiment`` take
 one subcommand per graph family or experiment kind, each with the options
 its function reads.  ``--epsilon`` (the constant of condition 1) is taken
-by ``certify`` and ``report``; ``--format csv`` is offered by ``certify``,
-``count`` and ``report``, the subcommands that build CSV rows.
+by ``certify`` alone; ``--format csv`` is offered by ``certify``, ``count``
+and ``report``, the subcommands that build CSV rows.
 
 Exit codes: 0 on success (including reported failures like an
 unhamiltonizable input), 1 when a mathematical invariant is violated, 2 on
@@ -133,7 +133,7 @@ def _cmd_hamiltonize(args):
 
 
 def _cmd_report(args):
-    rep = experiments.bounds_report(_load_graph(args.input), args.epsilon)
+    rep = experiments.bounds_report(_load_graph(args.input))
     d = rep.to_json_dict()
     csv_rows = [["bound", "value"]] + [[k, v] for k, v in rep.bounds.items()]
     _emit(args, d, csv_rows=csv_rows)
@@ -228,7 +228,6 @@ def build_parser():
     p = sub.add_parser("report", help="exact counts against every bound")
     p.add_argument("input")
     output_format(p, csv=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("tail", help="cycle-count tail diagnostics")

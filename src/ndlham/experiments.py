@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from . import factors, mixing, permanent, spectral
-from .errors import GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed
+from .errors import GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed, is_int
 from .graph import from_edges, random_regular
 
 LOG_SLACK = 1e-9
@@ -51,12 +51,12 @@ class BoundsReport:
         }
 
 
-def bounds_report(g, epsilon=0.1):
+def bounds_report(g):
     """Exact counts next to every log-domain bound, with the sandwich
     inequalities checked wherever the exact value is available."""
     if not g.is_regular():
         raise NotRegular("bounds_report: graph is not regular")
-    cert = spectral.certify(g, epsilon)
+    cert = spectral.certify(g)
     n, d = g.n, cert.d
     exact = {}
     ok = {}
@@ -139,7 +139,8 @@ def tail_diagnostics(g):
     """
     if not g.is_regular():
         raise NotRegular("tail_diagnostics: graph is not regular")
-    n, d = g.n, g.degree(0)
+    n = g.n
+    d = g.degree(0) if n else 0
     if d < 2:
         raise InvalidParameters("tail_diagnostics: d >= 2 required")
     logd = math.log(d)
@@ -263,8 +264,8 @@ def monte_carlo_gnp(n, p, trials, seed=0):
     """
     check_seed(seed, "monte_carlo_gnp: seed")
     check_cap(n, 14, "monte_carlo_gnp")
-    if trials < 1 or not 0 <= p <= 1:
-        raise InvalidParameters("monte_carlo_gnp: trials >= 1 and 0 <= p <= 1 required")
+    if not is_int(trials) or trials < 1 or not 0 <= p <= 1:
+        raise InvalidParameters("monte_carlo_gnp: integer trials >= 1 and 0 <= p <= 1 required")
     total = 0
     for t in range(trials):
         rng = random.Random((seed << 32) ^ t)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParameters, check_cap
+from .errors import InvalidParameters, check_cap, is_int
 from .graph import _bits
 from .permanent import crt_lift
 
@@ -436,8 +436,8 @@ def phi(g, k):
 def phi_argmax(g, k):
     """(max f(G[V0]), the first maximizing V0) over the k-subsets in
     ``combinations`` order, each read from one shared cover table."""
-    if not 2 <= k <= g.n:
-        raise InvalidParameters("phi: 2 <= k <= n required")
+    if not is_int(k) or not 2 <= k <= g.n:
+        raise InvalidParameters("phi: integer k with 2 <= k <= n required")
     check_cap(g.n, ENUM_CAP, "phi")
     table = _CoverTable(g)
     best, best_set = -1, None
@@ -453,8 +453,8 @@ def two_factors_near_hamilton(g, h, k):
     """Number of 2-factors F within k edge replacements of the Hamilton cycle
     h, i.e. |E(H) \\ E(F)| <= k, for any integer k >= 0 (k >= n counts every
     2-factor), over ``enumerate_two_factors``, n <= ENUM_CAP."""
-    if k < 0:
-        raise InvalidParameters("two_factors_near_hamilton: k >= 0 required")
+    if not is_int(k) or k < 0:
+        raise InvalidParameters("two_factors_near_hamilton: integer k >= 0 required")
     check_cap(g.n, ENUM_CAP, "two_factors_near_hamilton")
     if h.num_components != 1 or not is_hamilton_cycle(g, h.components[0]):
         raise InvalidParameters("two_factors_near_hamilton: H is not a Hamilton cycle")

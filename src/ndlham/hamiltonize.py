@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentTrace, InvalidParameters, check_certificate
 from .factors import _component_masks
-from .graph import _bits, _mask
+from .graph import _bits
 
 
 @dataclass(frozen=True)
@@ -56,34 +56,17 @@ def merge_budget(n, d, lam, budget_constant):
     return max(2, math.ceil(budget_constant * math.log(n) / math.log(d / lam)))
 
 
-def posa_close(g, path, budget):
-    """Breadth-first rotation search from ``path``.
+def _rotate(rows, path, outside, inside, budget):
+    """Breadth-first rotation search from ``path``, a checked simple path (a
+    tuple of at least two vertices) with vertex mask ``inside``; ``outside``
+    is the mask of the other vertices and ``budget`` >= 1.
 
     Returns (kind, new_path, rotations) where kind is one of:
-      "extendable" - an endpoint of new_path has a neighbor outside V(path);
+      "extendable" - an endpoint of new_path has a neighbor in ``outside``;
       "cycle"      - the endpoints of new_path are adjacent (length >= 3);
       "failure"    - neither is reachable within ``budget`` rotations.
-
     Each rotation is one edge deletion plus one edge insertion, so the
     caller's trace grows by at most 2*budget entries.
-    """
-    path = tuple(path)
-    if len(path) < 2 or len(set(path)) != len(path):
-        raise InvalidParameters("posa_close: not a simple path")
-    inside = _mask(path, g.n)
-    rows = g.rows
-    for a, b in zip(path, path[1:]):
-        if not rows[a] >> b & 1:
-            raise InvalidParameters("posa_close: not a path in the graph")
-    if budget < 1:
-        raise InvalidParameters("posa_close: budget >= 1 required")
-    return _rotate(rows, path, ((1 << g.n) - 1) & ~inside, inside, budget)
-
-
-def _rotate(rows, path, outside, inside, budget):
-    """The search of ``posa_close`` on a checked simple path (a tuple of at
-    least two vertices) with vertex mask ``inside``; ``outside`` is the mask
-    of the other vertices and ``budget`` >= 1.
 
     A path and its reverse are one node.  The successors of a node come
     from its tail end, then its head end, smaller pivots first; a pivot is a

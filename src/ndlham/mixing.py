@@ -66,20 +66,6 @@ def _judge(cert, e, size_s, size_t):
     return np.abs(e - expected), cert.lam * np.sqrt(size_s * size_t)
 
 
-def mixing_defect(g, cert, s, t):
-    """(e(S,T), |e - (d/n)|S||T||, lambda*sqrt(|S||T|)) for one pair: a
-    one-row call of the kernel ``verify_mixing`` runs."""
-    check_certificate(g, cert, "mixing_defect")
-    if not s or not t:
-        raise InvalidParameters("mixing_defect: sets must be nonempty")
-    _mask(s, g.n)  # range validation
-    _mask(t, g.n)
-    m = np.zeros((2, g.n))
-    m[0, list(s)] = m[1, list(t)] = 1.0
-    e, defect, bound = _defects(g.adjacency_matrix(), cert, m[:1], m[1:])
-    return int(e[0]), float(defect[0]), float(bound[0])
-
-
 @dataclass(frozen=True)
 class MixingReport:
     pairs_checked: int

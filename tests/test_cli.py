@@ -114,6 +114,15 @@ def test_report_in_the_theorem_regime(tmp_path, capsys):
     assert json.loads(out)["cond1_margin"] == pytest.approx(1.13, abs=0.005)
 
 
+def test_tail_empty_graph_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.el"
+    path.write_text("0 0\n")
+    code, out, err = run(capsys, ["tail", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail_diagnostics:")
+
+
 def test_phi_subcommand(tmp_path, capsys):
     path = str(tmp_path / "k4.el")
     run(capsys, ["gen", "complete", "--n", "4", "-o", path])
@@ -210,27 +219,30 @@ OPTION_TARGETS = {
 
 
 @pytest.mark.parametrize("option, accepted", [
-    (["--epsilon", "0.2"], {"certify", "report"}),
+    (["--epsilon", "0.2"], {"certify"}),
     (["--format", "csv"], {"certify", "count", "report"}),
 ])
 def test_options_only_where_they_act(tmp_path, capsys, option, accepted):
     path = str(tmp_path / "k4.el")
     run(capsys, ["gen", "complete", "--n", "4", "-o", path])
     for cmd, argv in OPTION_TARGETS.items():
-        argv = [path if a == "G" else a for a in argv] + option
+        argv = [path if a == "G" else a for a in argv]
         if cmd in accepted:
-            code, out, _ = run(capsys, argv)
+            code, out, _ = run(capsys, argv + option)
             assert code == 0 and out, cmd
+            # an accepted option must act: without it the output differs
+            code, default_out, _ = run(capsys, argv)
+            assert code == 0 and default_out != out, cmd
         else:
             with pytest.raises(SystemExit) as exc:
-                main(argv)
+                main(argv + option)
             assert exc.value.code == 2, cmd
             assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
     ["certify", "G", "--epsilon", "nan"],
-    ["report", "G", "--epsilon", "0"],
+    ["certify", "G", "--epsilon", "0"],
     ["hamiltonize", "G", "--budget-constant", "inf"],
 ])
 def test_malformed_constant_exit_2(tmp_path, capsys, argv):

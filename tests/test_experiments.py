@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import ndlham as nh
@@ -182,3 +183,25 @@ def test_negative_seed_rejected():
     ):
         with pytest.raises(InvalidParameters, match="seed"):
             call()
+
+
+def _k4_and_hamilton_cycle():
+    k4 = nh.complete(4)
+    return k4, next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
+
+
+# each call takes its integer argument as x; a bool would otherwise act as 0 or 1
+INTEGER_ARGUMENTS = {
+    "monte_carlo_gnp": lambda x: nh.monte_carlo_gnp(6, 0.5, x),
+    "phi": lambda x: nh.phi(nh.complete(4), x),
+    "phi_argmax": lambda x: nh.factors.phi_argmax(nh.complete(4), x),
+    "two_factors_near_hamilton": lambda x: nh.two_factors_near_hamilton(*_k4_and_hamilton_cycle(), x),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 1.5, True, "2"])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_argument_rejects_non_integer(name, value):
+    with pytest.raises(InvalidParameters, match="integer"):
+        INTEGER_ARGUMENTS[name](value)
+    INTEGER_ARGUMENTS[name](np.int64(2))  # an integer of another type is accepted

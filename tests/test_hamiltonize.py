@@ -16,32 +16,32 @@ def hamilton_factor(g):
     return next(f for f in nh.enumerate_two_factors(g) if f.num_components == 1)
 
 
-def test_posa_close_adjacent_endpoints():
-    k4 = nh.complete(4)
-    kind, path, rots = nh.posa_close(k4, (0, 1, 2, 3), budget=5)
+def rotate(g, path, budget):
+    """The rotation search from ``path`` with every other vertex outside."""
+    inside = sum(1 << v for v in path)
+    return nh.hamiltonize._rotate(g.rows, path, ((1 << g.n) - 1) & ~inside, inside, budget)
+
+
+def test_rotate_adjacent_endpoints():
+    kind, path, rots = rotate(nh.complete(4), (0, 1, 2, 3), budget=5)
     assert kind == "cycle"
     assert rots == []
 
 
-def test_posa_close_extendable():
-    kind, path, rots = nh.posa_close(nh.cycle(5), (0, 1), budget=5)
+def test_rotate_extendable():
+    kind, path, rots = rotate(nh.cycle(5), (0, 1), budget=5)
     assert kind == "extendable"
     assert rots == []
 
 
-def test_posa_close_petersen_spanning_path_never_closes():
+def test_rotate_petersen_spanning_path_never_closes():
     pet = nh.petersen()
     # a Hamilton path of the Petersen graph
     hp = (0, 1, 2, 3, 4, 9, 6, 8, 5, 7)
     for a, b in zip(hp, hp[1:]):
         assert pet.has_edge(a, b)
-    kind, _, _ = nh.posa_close(pet, hp, budget=100)
+    kind, _, _ = rotate(pet, hp, budget=100)
     assert kind == "failure"
-
-
-def test_posa_close_rejects_bad_path():
-    with pytest.raises(InvalidParameters):
-        nh.posa_close(nh.cycle(5), (0, 2), budget=3)
 
 
 def test_trivial_single_cycle():

@@ -40,23 +40,29 @@ def test_edge_count_monotone():
         prev = cur
 
 
-def test_mixing_defect_k4():
+def _row(n, members):
+    """A one-row 0/1 membership block."""
+    m = np.zeros((1, n))
+    m[0, members] = 1.0
+    return m
+
+
+def test_defects_k4():
     k4 = nh.complete(4)
-    cert = nh.certify(k4)
-    e, defect, bound = nh.mixing_defect(k4, cert, [0, 1], [2, 3])
-    assert e == 4
-    assert defect == pytest.approx(1.0)
-    assert bound == pytest.approx(2.0)
+    s, t = _row(4, [0, 1]), _row(4, [2, 3])
+    e, defect, bound = nh.mixing._defects(k4.adjacency_matrix(), nh.certify(k4), s, t)
+    assert e.tolist() == [4]
+    assert defect[0] == pytest.approx(1.0)
+    assert bound[0] == pytest.approx(2.0)
 
 
-def test_mixing_defect_full_sets_complete():
+def test_defects_full_sets_complete():
     for n in (4, 5, 6):
         g = nh.complete(n)
-        cert = nh.certify(g)
-        full = list(range(n))
-        e, defect, _ = nh.mixing_defect(g, cert, full, full)
-        assert e == n * (n - 1)
-        assert defect == pytest.approx(0.0, abs=1e-9)
+        full = _row(n, list(range(n)))
+        e, defect, _ = nh.mixing._defects(g.adjacency_matrix(), nh.certify(g), full, full)
+        assert e.tolist() == [n * (n - 1)]
+        assert defect[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_verify_mixing_clean(corpus):
@@ -129,8 +135,6 @@ def test_verify_mixing_matches_adjacency_recount():
         blocks = chain([(np.ones((1, g.n)),) * 2], nh.mixing._sample_blocks(g.n, samples, seed))
         kernel = [row for s, t in blocks for row in zip(*nh.mixing._defects(adj, cert, s, t))]
         assert kernel == [_scalar(adj, cert, s, t) for s, t in pairs[g.n**2 : g.n**2 + 1] + pairs[-samples:]]
-        for s, t in pairs[:: len(pairs) // 50]:
-            assert nh.mixing_defect(g, cert, s, t) == _scalar(adj, cert, s, t)
 
 
 def test_verify_mixing_zero_bound():
@@ -235,10 +239,11 @@ def test_verify_mixing_negative_control():
     assert rep.violations > 0
     # exhaustive confirmation that a genuinely violating pair exists:
     # independent 4-sets have e(S,S) = 0 but expectation 4.8 > bound 4
+    adj = pet.adjacency_matrix()
     found = False
     for a in range(1, 5):
         for s in combinations(range(10), a):
-            e, defect, bound = nh.mixing_defect(pet, lied, list(s), list(s))
+            e, defect, bound = _scalar(adj, lied, list(s), list(s))
             if defect > bound + 1e-9:
                 found = True
     assert found
@@ -290,8 +295,6 @@ def test_certificate_of_another_graph_rejected():
     cert = nh.certify(other)
     with pytest.raises(InvalidParameters, match="certificate is for n=24, graph has n=20"):
         nh.verify_mixing(g, cert, sample_count=10, seed=0)
-    with pytest.raises(InvalidParameters, match="certificate is for n=24"):
-        nh.mixing_defect(g, cert, [0], [1])
     with pytest.raises(InvalidParameters, match="certificate is for n=24"):
         nh.expansion_check(g, cert, [0])
     with pytest.raises(InvalidParameters, match="certificate is for n=24"):
