@@ -167,8 +167,8 @@ def phi_estimate_report(g, t):
     average degree, and the exact induced permanent against its bounds."""
     if not g.is_regular():
         raise NotRegular("phi_estimate_report: graph is not regular")
-    if not 1 <= t <= g.n - 2:
-        raise InvalidParameters("phi_estimate_report: 1 <= t <= n-2 required")
+    if not is_int(t) or not 1 <= t <= g.n - 2:
+        raise InvalidParameters("phi_estimate_report: integer t with 1 <= t <= n-2 required")
     cert = spectral.certify(g)
     n, d, lam = g.n, cert.d, cert.lam
     k = n - t
@@ -220,8 +220,8 @@ def phi_estimate_report(g, t):
 
 def janson_expectation_gnp(n, p):
     """log E[#Hamilton cycles] in G(n,p): log((n-1)!/2) + n log p."""
-    if n < 3 or not 0 < p <= 1:
-        raise InvalidParameters("janson_expectation_gnp: n >= 3, 0 < p <= 1 required")
+    if not is_int(n) or n < 3 or not 0 < p <= 1:
+        raise InvalidParameters("janson_expectation_gnp: integer n >= 3, 0 < p <= 1 required")
     return math.lgamma(n) - math.log(2) + n * math.log(p)
 
 
@@ -231,11 +231,11 @@ def janson_expectation_gnm(n, m):
     Returns (value, is_zero); m < n means no Hamilton cycle fits and the
     expectation is exactly zero.
     """
-    if n < 3:
-        raise InvalidParameters("janson_expectation_gnm: n >= 3 required")
+    if not is_int(n) or n < 3:
+        raise InvalidParameters("janson_expectation_gnm: integer n >= 3 required")
     big_n = n * (n - 1) // 2
-    if not 0 <= m <= big_n:
-        raise InvalidParameters("janson_expectation_gnm: 0 <= m <= C(n,2) required")
+    if not is_int(m) or not 0 <= m <= big_n:
+        raise InvalidParameters("janson_expectation_gnm: integer m with 0 <= m <= C(n,2) required")
     if m < n:
         return -math.inf, True
     value = (
@@ -263,6 +263,8 @@ def monte_carlo_gnp(n, p, trials, seed=0):
     int.
     """
     check_seed(seed, "monte_carlo_gnp: seed")
+    if not is_int(n) or n < 3:
+        raise InvalidParameters("monte_carlo_gnp: integer n >= 3 required")
     check_cap(n, 14, "monte_carlo_gnp")
     if not is_int(trials) or trials < 1 or not 0 <= p <= 1:
         raise InvalidParameters("monte_carlo_gnp: integer trials >= 1 and 0 <= p <= 1 required")
@@ -281,6 +283,9 @@ def theorem_trend(ns=range(10, 21, 2), ds=(4, 6), seed=0):
     (n!)^(1/n) d/n over random regular graphs.  Diagnostic only; there is
     no finite-n pass/fail."""
     check_seed(seed, "theorem_trend: seed")
+    ns, ds = tuple(ns), tuple(ds)
+    if not all(map(is_int, ns + ds)):
+        raise InvalidParameters("theorem_trend: integer n and d required")
     rows = []
     for d in ds:
         for n in ns:

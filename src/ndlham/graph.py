@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationTimeout, InvalidParameters, ParseError, check_seed
+from .errors import GenerationTimeout, InvalidParameters, ParseError, check_seed, is_int
 
 RESTART_CAP = 10_000  # configuration-model full restarts before giving up
 
@@ -150,15 +150,15 @@ def is_prime(q):
 
 
 def complete(n):
-    if n < 1:
-        raise InvalidParameters("complete: n >= 1 required")
+    if not is_int(n) or n < 1:
+        raise InvalidParameters("complete: integer n >= 1 required")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
 
 def cycle(n):
-    if n < 3:
-        raise InvalidParameters("cycle: n >= 3 required")
+    if not is_int(n) or n < 3:
+        raise InvalidParameters("cycle: integer n >= 3 required")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -171,8 +171,8 @@ def petersen():
 
 def paley(q):
     """Paley graph on a prime q = 1 (mod 4): i ~ j iff i-j is a nonzero square."""
-    if not is_prime(q) or q % 4 != 1:
-        raise InvalidParameters("paley: q must be a prime congruent to 1 mod 4")
+    if not is_int(q) or not is_prime(q) or q % 4 != 1:
+        raise InvalidParameters("paley: q must be an integer prime congruent to 1 mod 4")
     residues = {(x * x) % q for x in range(1, q)}
     return from_edges(
         q, [(i, j) for i in range(q) for j in range(i + 1, q) if (i - j) % q in residues]
@@ -180,11 +180,11 @@ def paley(q):
 
 
 def circulant(n, connection_set):
-    if n < 3:
-        raise InvalidParameters("circulant: n >= 3 required")
+    if not is_int(n) or n < 3:
+        raise InvalidParameters("circulant: integer n >= 3 required")
     s = set(connection_set)
-    if not s or not all(1 <= k <= n // 2 for k in s):
-        raise InvalidParameters("circulant: connection set must be within 1..n//2")
+    if not s or not all(is_int(k) and 1 <= k <= n // 2 for k in s):
+        raise InvalidParameters("circulant: connection set must be integers within 1..n//2")
     edges = {tuple(sorted(((i, (i + k) % n)))) for i in range(n) for k in s}
     return from_edges(n, sorted(edges))
 
@@ -196,8 +196,8 @@ def random_regular(n, d, seed):
     deterministic given (n, d, seed), and ``seed`` is a non-negative int.
     """
     check_seed(seed, "random-regular: seed")
-    if not (2 <= d < n):
-        raise InvalidParameters("random-regular: 2 <= d < n required")
+    if not is_int(n) or not is_int(d) or not 2 <= d < n:
+        raise InvalidParameters("random-regular: integers 2 <= d < n required")
     if (n * d) % 2 != 0:
         raise InvalidParameters("random-regular: n*d must be even")
     rng = random.Random(seed)

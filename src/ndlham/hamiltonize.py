@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InconsistentTrace, InvalidParameters, check_certificate
+from .errors import InconsistentTrace, InvalidParameters, check_certificate, is_real
 from .factors import _component_masks
 from .graph import _bits
 
@@ -47,9 +47,9 @@ def merge_budget(n, d, lam, budget_constant):
     """Per-merge replacement budget ceil(C log n / log(d/lambda)); falls
     back to n outside the formula's domain d > lambda.  The constant C must
     be finite and positive."""
-    if not 0 < budget_constant < math.inf:
+    if not is_real(budget_constant) or not 0 < budget_constant < math.inf:
         raise InvalidParameters(
-            f"merge_budget: budget constant must be finite and > 0, got {budget_constant}"
+            f"merge_budget: budget constant must be a number, finite and > 0, got {budget_constant!r}"
         )
     if lam <= 0 or d <= lam:
         return n

@@ -205,3 +205,32 @@ def test_integer_argument_rejects_non_integer(name, value):
     with pytest.raises(InvalidParameters, match="integer"):
         INTEGER_ARGUMENTS[name](value)
     INTEGER_ARGUMENTS[name](np.int64(2))  # an integer of another type is accepted
+
+
+# a number argument of the wrong type is refused as InvalidParameters, not
+# computed with or left to escape as TypeError: each call and its message
+NUMBER_ARGUMENTS = {
+    "janson_expectation_gnp n": (lambda: nh.janson_expectation_gnp(6.5, 0.5), "integer n"),
+    "janson_expectation_gnm m": (lambda: nh.janson_expectation_gnm(6, 9.5), "integer m"),
+    "janson_expectation_gnm n": (lambda: nh.janson_expectation_gnm(6.0, 9), "integer n"),
+    "monte_carlo_gnp n": (lambda: nh.monte_carlo_gnp(6.5, 0.5, 2), "integer n"),
+    "theorem_trend ns": (lambda: nh.theorem_trend(ns=(10.0,)), "integer n and d"),
+    "theorem_trend ds": (lambda: nh.theorem_trend(ns=(10,), ds=(True,)), "integer n and d"),
+    "phi_estimate_report t": (lambda: nh.experiments.phi_estimate_report(nh.petersen(), 2.0), "integer t"),
+    "complete": (lambda: nh.complete(4.0), "integer n"),
+    "cycle": (lambda: nh.cycle(5.0), "integer n"),
+    "paley": (lambda: nh.paley(13.0), "integer prime"),
+    "circulant n": (lambda: nh.circulant(6.0, (1,)), "integer n"),
+    "circulant connection set": (lambda: nh.circulant(6, (1.0,)), "integers within"),
+    "random_regular n": (lambda: nh.random_regular(10.0, 3, 0), "integers 2 <= d < n"),
+    "random_regular d": (lambda: nh.random_regular(10, "3", 0), "integers 2 <= d < n"),
+    "merge_budget bool": (lambda: nh.hamiltonize.merge_budget(10, 3, 1.0, True), "must be a number"),
+    "merge_budget str": (lambda: nh.hamiltonize.merge_budget(10, 3, 1.0, "10"), "must be a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_ARGUMENTS))
+def test_number_argument_of_wrong_type_refused(name):
+    call, match = NUMBER_ARGUMENTS[name]
+    with pytest.raises(InvalidParameters, match=match):
+        call()

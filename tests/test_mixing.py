@@ -168,9 +168,10 @@ def test_sampler_sizes_and_subsets_uniform():
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_sampler_block_sizes(delta):
     # a count just below, at and just above one block; the draws are
-    # replayed from the same generator: per block |S| and |T|, then k*n raw
-    # words, whose halves are the uint32 keys of S and then of T (no row
-    # of this seed ties, so nothing is redrawn)
+    # replayed from the same generator: per block the k sizes |S| and the k
+    # sizes |T|, then ceil(2kn/4) raw words, whose 16-bit quarters are the
+    # keys of S's k rows and then of T's (no row of this seed ties at its
+    # threshold, which the replay checks, so nothing is redrawn)
     n, seed = 12, 4
     block = nh.mixing._BLOCK
     count = block + delta
@@ -180,11 +181,15 @@ def test_sampler_block_sizes(delta):
         k = len(s)
         assert k == min(block, count - rows)
         sizes = rng.integers(1, n + 1, size=(2, k))
-        keys = rng.bit_generator.random_raw(k * n).view(np.uint32).reshape(2, k, n)
+        words = rng.bit_generator.random_raw(-(-2 * k * n // 4))
+        keys = words.view(np.uint16)[: 2 * k * n].reshape(2, k, n)
         for got, want, key in zip((s, t), sizes, keys):
-            assert set(np.unique(got)) <= {0.0, 1.0}
+            assert got.dtype == np.float32 and set(np.unique(got)) <= {0.0, 1.0}
             assert got.sum(axis=1).tolist() == want.tolist()
-            thresh = np.sort(key, axis=1)[np.arange(k), want - 1]
+            srt = np.sort(key, axis=1)
+            thresh = srt[np.arange(k), want - 1]
+            untied = srt[np.arange(k), np.minimum(want, n - 1)] != thresh
+            assert (untied | (want == n)).all()
             assert (got == (key <= thresh[:, None])).all()
         rows += k
     assert rows == count
@@ -202,7 +207,7 @@ def test_sampler_threshold_tie_redrawn():
         [2, 2, 4, 6, 8, 9],
         [5, 5, 5, 5, 5, 5],
         [3, 3, 6, 7, 8, 9],
-    ], dtype=np.uint32)
+    ], dtype=np.uint16)
     sizes = np.array([3, 3, 6, 1])
     given = keys.copy()
     out = np.empty(keys.shape)
@@ -211,6 +216,37 @@ def test_sampler_threshold_tie_redrawn():
     assert out[1].tolist() == [1, 1, 1, 0, 0, 0] and out[2].tolist() == [1] * 6
     assert (keys[[1, 2]] == given[[1, 2]]).all()
     assert (keys[[0, 3]] != given[[0, 3]]).all(axis=1).all()  # redrawn
+
+
+def test_sampler_width_rule():
+    # 16-bit keys and float32 blocks while n^2 < 2^24, 32-bit keys and
+    # float64 blocks from n = 4096 on
+    for n, key, block in ((4095, np.uint16, np.float32), (4096, np.uint32, np.float64)):
+        assert nh.mixing._widths(n) == (key, block)
+        s, t = next(nh.mixing._sample_blocks(n, 1, 0))
+        assert s.dtype == t.dtype == block
+
+
+def test_defects_exact_at_float32_limit():
+    # n = 4095 is the largest n with n^2 < 2^24: e(V,V) of an all-ones
+    # float32 matrix is 4095^2, and every partial sum of it fits float32
+    n = 4095
+    full = np.ones((1, n), np.float32)
+    cert = dataclasses.replace(nh.certify(nh.complete(4)), n=n, d=n)
+    e, defect, bound = nh.mixing._defects(np.ones((n, n), np.float32), cert, full, full)
+    assert e.dtype == np.float64 and e.tolist() == [n * n]
+    assert defect.tolist() == [0.0] and bound.tolist() == [float(n)]
+
+
+def test_verify_mixing_seeded_report_pinned():
+    # paley(17)'s worst pair comes from the samples, so a change to which
+    # pairs a seed draws changes these figures
+    g = nh.paley(17)
+    rep = nh.verify_mixing(g, nh.certify(g), sample_count=200, seed=0)
+    assert rep.pairs_checked == 17 * 17 + 1 + 136 + 200
+    assert rep.max_normalized_defect == 0.4133522151552783
+    assert rep.worst_pair == ([9], [1, 10, 11, 13])
+    assert rep.violations == 0
 
 
 def test_verify_mixing_rejects_bad_seed():
