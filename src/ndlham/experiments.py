@@ -6,7 +6,9 @@ import random
 from dataclasses import dataclass
 
 from . import factors, mixing, permanent, spectral
-from .errors import GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed, is_int
+from .errors import (
+    GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed, is_int, is_real,
+)
 from .graph import from_edges, random_regular
 
 LOG_SLACK = 1e-9
@@ -220,8 +222,8 @@ def phi_estimate_report(g, t):
 
 def janson_expectation_gnp(n, p):
     """log E[#Hamilton cycles] in G(n,p): log((n-1)!/2) + n log p."""
-    if not is_int(n) or n < 3 or not 0 < p <= 1:
-        raise InvalidParameters("janson_expectation_gnp: integer n >= 3, 0 < p <= 1 required")
+    if not is_int(n) or n < 3 or not is_real(p) or not 0 < p <= 1:
+        raise InvalidParameters("janson_expectation_gnp: integer n >= 3, number 0 < p <= 1 required")
     return math.lgamma(n) - math.log(2) + n * math.log(p)
 
 
@@ -266,8 +268,8 @@ def monte_carlo_gnp(n, p, trials, seed=0):
     if not is_int(n) or n < 3:
         raise InvalidParameters("monte_carlo_gnp: integer n >= 3 required")
     check_cap(n, 14, "monte_carlo_gnp")
-    if not is_int(trials) or trials < 1 or not 0 <= p <= 1:
-        raise InvalidParameters("monte_carlo_gnp: integer trials >= 1 and 0 <= p <= 1 required")
+    if not is_int(trials) or trials < 1 or not is_real(p) or not 0 <= p <= 1:
+        raise InvalidParameters("monte_carlo_gnp: integer trials >= 1 and number 0 <= p <= 1 required")
     total = 0
     for t in range(trials):
         rng = random.Random((seed << 32) ^ t)

@@ -66,35 +66,74 @@ def validate_two_factor(g, f):
 
 
 def _component_masks(g, f, have=None):
-    """Check ``f`` as ``validate_two_factor`` promises, the partition first,
-    then each component's length and edges, and return each component's
-    vertex mask and its vertices as ints, in order.  Given a list ``have``
-    of n zeros, the edge checks also fill it with the factor's edges as one
-    bitset row per vertex, a 2-vertex component being one edge."""
+    """Check ``f`` as ``validate_two_factor`` promises and return each
+    component's vertex mask and its vertices as ints, in order.  Given a
+    list ``have`` of n zeros, also fill it with the factor's edges as one
+    bitset row per vertex, a 2-vertex component being one edge.
+
+    One walk builds each component's mask and checks its edges, the one
+    from its last vertex back to its first included, and fills ``have``
+    only if it is given.  Any fault, or a numpy integer vertex, sends the
+    factor to ``_factor_fault``, which walks it again in the order that
+    picks the message."""
     rows = g.rows
     out, covered, size = [], 0, 0
     try:
         for comp in f.components:
-            m = 0
+            m, u = 0, comp[-1]
+            ubit = 1 << u
             for v in comp:
-                m |= 1 << v
-            out.append((m, comp))
-            covered |= m
+                bit = 1 << v
+                if not rows[u] & bit:
+                    break
+                m |= bit
+                if have is not None:
+                    have[u] |= bit
+                    have[v] |= ubit
+                u, ubit = v, bit
+            else:
+                out.append((m, comp))
+                covered |= m
+                size += len(comp)
+                continue
+            break
+        else:
+            if type(covered) is int and size == g.n and covered == (1 << g.n) - 1:
+                return out
+    except (IndexError, OverflowError, TypeError, ValueError):
+        pass  # a vertex that is no integer in 0..n-1
+    return _factor_fault(g, f, have)
+
+
+def _factor_fault(g, f, have):
+    """Raise the message of the first fault of ``f``: the partition first,
+    then each component in order, its length before its first non-edge
+    from ``comp[0]`` on.  A factor with numpy integer vertices and no fault
+    is checked again on the vertices taken to ints, with ``have`` zeroed;
+    its masks would otherwise be numpy integers, which wrap at their
+    width."""
+    covered, size = 0, 0
+    try:
+        for comp in f.components:
+            for v in comp:
+                covered |= 1 << v
             size += len(comp)
     except (ValueError, TypeError):  # a negative or non-integer vertex
         covered = -1
     if type(covered) is not int:
-        # numpy integers shift into numpy masks, which wrap at their width:
-        # check again on the vertices taken to ints, numpy bools refused
+        # operator.index refuses a numpy bool, as it refuses a float
         try:
             ints = TwoFactor(tuple(tuple(map(operator.index, c)) for c in f.components))
         except TypeError:
             covered = -1
         else:
+            if have is not None:
+                have[:] = [0] * len(have)
             return _component_masks(g, ints, have)
     if size != g.n or covered != (1 << g.n) - 1:
         raise InvalidParameters("two-factor components must partition the vertex set")
-    for _, comp in out:
+    rows = g.rows
+    for comp in f.components:
         if len(comp) < 2:
             raise InvalidParameters("component shorter than 2")
         u = comp[0]
@@ -103,11 +142,7 @@ def _component_masks(g, f, have=None):
                 if len(comp) == 2:
                     raise InvalidParameters(f"non-edge component {comp}")
                 raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
-            if have is not None:
-                have[u] |= 1 << v
-                have[v] |= 1 << u
             u = v
-    return out
 
 
 def _components(rows, free, visit):
@@ -150,7 +185,9 @@ def enumerate_two_factors(g):
 
     The covers of a free mask are its components through the lowest free
     vertex, each followed by every cover of the rest; the lists are
-    memoized on the mask, so each mask is walked once.  The order is
+    memoized on the mask, so each mask is walked once.  The walk keeps each
+    component whose rest has a cover, with the rest's list, and one list
+    comprehension joins them, in the walk's order.  The order is
     lexicographic by the canonical encoding.
     """
     check_cap(g.n, ENUM_CAP, "enumerate_two_factors")
@@ -161,13 +198,15 @@ def enumerate_two_factors(g):
         hit = memo.get(free)
         if hit is not None:
             return hit
-        out = []
+        kept = []
 
         def visit(comp, rest):
-            out.extend((comp,) + t for t in covers(rest))
+            tails = covers(rest)
+            if tails:
+                kept.append((comp, tails))
 
         _components(rows, free, visit)
-        memo[free] = out
+        memo[free] = out = [(comp,) + t for comp, tails in kept for t in tails]
         return out
 
     found = [TwoFactor(t) for t in covers((1 << g.n) - 1)]

@@ -71,13 +71,23 @@ def _rotate(rows, path, outside, inside, budget):
     A path and its reverse are one node.  The successors of a node come
     from its tail end, then its head end, smaller pivots first; a pivot is a
     path vertex adjacent to the end other than the end's own path neighbor.
-    A queue entry is (path, depth, link); link is None at the start and
-    ((pivot, pivot's old successor, end), parent link) below it, so each
-    node stores one rotation.  Acceptance depends only on the endpoints and
-    no seen node is accepted, so a successor is tested before its lookup.
-    A node is queued only if neither endpoint sees ``outside``, so a
-    successor, which keeps the head ``seq[0]``, is extendable exactly when
-    its new end sees ``outside``.
+    Rotating ``seq`` at the pivot ``seq[i]`` gives ``seq[:i + 1] +
+    seq[:i:-1]``, whose ends are ``seq[0]`` and ``seq[i + 1]``.
+
+    Acceptance depends only on those ends, so each successor is tested when
+    it is generated but built only when it is accepted or popped.  A queue
+    entry is (oriented parent, pivot index, depth, parent link), and a
+    successor at the budget's depth, which would never be expanded, is not
+    queued.  A popped node is built and dropped if ``seen`` holds it;
+    otherwise it gets its link, ((pivot, pivot's old successor, end),
+    parent link), so each node stores one rotation.  This gives the result
+    of a search that looks up each successor when it is generated: the
+    first copy of a node keeps its orientation, depth, link and FIFO
+    position, and a later copy is popped only after the first was expanded,
+    so its successors were all generated, and tested, then.  A node is
+    queued only if neither endpoint sees ``outside``, so a successor, which
+    keeps the head ``seq[0]``, is extendable exactly when its new end sees
+    ``outside``.
     """
     closable = len(path) >= 3
     a, b = path[0], path[-1]
@@ -85,31 +95,38 @@ def _rotate(rows, path, outside, inside, budget):
         return "extendable", path, []
     if closable and rows[a] >> b & 1:
         return "cycle", path, []
-    seen = {path if a < b else path[::-1]}
-    queue = deque([(path, 0, None)])
+    seen = set()
+    # the start: at its last index, the rotation rebuilds the path itself
+    queue = deque([(path, len(path) - 1, 0, None)])
     while queue:
-        cur, depth, link = queue.popleft()
-        if depth >= budget:
+        seq, i, depth, link = queue.popleft()
+        cur = seq[: i + 1] + seq[: i : -1]
+        size = len(seen)
+        seen.add(cur if cur[0] < cur[-1] else cur[::-1])
+        if len(seen) == size:
             continue
+        if depth:
+            link = ((seq[i], seq[i + 1], seq[-1]), link)
+        depth += 1
+        grow = depth < budget
         for seq in (cur, cur[::-1]):
-            a, end = seq[0], seq[-1]
-            head = rows[a] if closable else 0
+            head = rows[seq[0]] if closable else 0
+            end = seq[-1]
             pivots = rows[end] & inside & ~(1 << seq[-2])
             while pivots:
                 low = pivots & -pivots
                 pivots ^= low
-                piv = low.bit_length() - 1
-                i = seq.index(piv)
+                i = seq.index(low.bit_length() - 1)
                 b = seq[i + 1]
-                nxt = seq[: i + 1] + seq[: i : -1]
                 if rows[b] & outside:
-                    return "extendable", nxt, _unwind(((piv, b, end), link))
-                if head >> b & 1:
-                    return "cycle", nxt, _unwind(((piv, b, end), link))
-                size = len(seen)
-                seen.add(nxt if a < b else nxt[::-1])
-                if len(seen) > size:
-                    queue.append((nxt, depth + 1, ((piv, b, end), link)))
+                    kind = "extendable"
+                elif head >> b & 1:
+                    kind = "cycle"
+                else:
+                    if grow:
+                        queue.append((seq, i, depth, link))
+                    continue
+                return kind, seq[: i + 1] + seq[: i : -1], _unwind(((seq[i], b, end), link))
     return "failure", path, []
 
 
@@ -206,7 +223,8 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
             if mask >> u & 1:
                 break
         rest &= ~mask
-        trace.append(("insert", *_e(path[-1], u)))
+        last = path[-1]
+        trace.append(("insert", last, u) if last < u else ("insert", u, last))
         if len(comp) == 2:
             path += (u, comp[0] if comp[1] == u else comp[1])
         else:
@@ -237,7 +255,8 @@ def _open_cycle_at(trace, cyc, v):
     cyc = tuple(cyc)
     i = cyc.index(v)
     prev, nxt = cyc[i - 1], cyc[(i + 1) % len(cyc)]
-    trace.append(("delete", *_e(v, max(prev, nxt))))
+    far = max(prev, nxt)
+    trace.append(("delete", v, far) if v < far else ("delete", far, v))
     if nxt > prev:
         return cyc[i + 1 :] + cyc[: i + 1]
     return (cyc[i:] + cyc[:i])[::-1]
@@ -282,21 +301,24 @@ def replay(g, f, trace):
         return {(u, v) for u in range(n) for v in _bits(have[u] >> u + 1 << u + 1)}
     # one walk over the recorded cycle: each step b -> c is an edge of G, the
     # bits of the steps fill the vertex mask, and each row holds exactly the
-    # vertex's two cycle neighbours a and c
+    # vertex's two cycle neighbours a and c; each vertex's bit is shifted
+    # once and carried along as a's and b's
     cyc = trace.hamilton_cycle
     seen, same, out = 0, True, set()
     if len(cyc) == n >= 3:
-        a, b = cyc[-2], cyc[-1]
+        b = cyc[-1]
         try:
+            abit, bbit = 1 << cyc[-2], 1 << b
             for c in cyc:
                 # a vertex >= n is in no row, a negative one fails the shift
-                if not rows[b] >> c & 1:
+                cbit = 1 << c
+                if not rows[b] & cbit:
                     break
-                seen |= 1 << c
-                if have[b] != (1 << a) | (1 << c):
+                seen |= cbit
+                if have[b] != abit | cbit:
                     same = False
                 out.add((b, c) if b < c else (c, b))
-                a, b = b, c
+                abit, bbit, b = bbit, cbit, c
         except (TypeError, IndexError, ValueError):  # no vertex
             seen = 0
     if seen != (1 << n) - 1:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, NotRegular
+from .errors import InvalidParameters, NotRegular, is_real
 from .graph import _bits
 
 
@@ -71,10 +71,11 @@ def certify(g, epsilon=0.1):
     i.e. max(|eig_2|, |eig_n|) for the descending-sorted spectrum; it is set
     to d, exactly, when g is disconnected or bipartite, and is below d else.  All
     logarithms are natural.  epsilon, the constant of condition 1
-    d/lambda >= (log n)^(1+epsilon), must be finite and positive.
+    d/lambda >= (log n)^(1+epsilon), must be a number (not a bool), finite
+    and positive.
     """
-    if not 0 < epsilon < math.inf:
-        raise InvalidParameters(f"certify: epsilon must be finite and > 0, got {epsilon}")
+    if not is_real(epsilon) or not 0 < epsilon < math.inf:
+        raise InvalidParameters(f"certify: epsilon must be a number, finite and > 0, got {epsilon!r}")
     if not g.is_regular():
         raise NotRegular("certify: graph is not regular")
     if g.n < 3:

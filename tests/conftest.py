@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -266,6 +267,46 @@ def set_replay(g, f, trace):
         if edges != want:
             raise InconsistentTrace("replayed edge set differs from recorded cycle")
     return edges
+
+
+def eager_rotate(rows, path, outside, inside, budget):
+    """``hamiltonize._rotate`` as it was when every successor was built,
+    hashed and queued as soon as it was generated: the reference that the
+    lazy search must match, call for call.  A queue entry is (path, depth,
+    link), and a successor is tested for acceptance before its ``seen``
+    lookup, since no seen node is accepted."""
+    closable = len(path) >= 3
+    a, b = path[0], path[-1]
+    if (rows[a] | rows[b]) & outside:
+        return "extendable", path, []
+    if closable and rows[a] >> b & 1:
+        return "cycle", path, []
+    seen = {path if a < b else path[::-1]}
+    queue = deque([(path, 0, None)])
+    while queue:
+        cur, depth, link = queue.popleft()
+        if depth >= budget:
+            continue
+        for seq in (cur, cur[::-1]):
+            a, end = seq[0], seq[-1]
+            head = rows[a] if closable else 0
+            pivots = rows[end] & inside & ~(1 << seq[-2])
+            while pivots:
+                low = pivots & -pivots
+                pivots ^= low
+                piv = low.bit_length() - 1
+                i = seq.index(piv)
+                b = seq[i + 1]
+                nxt = seq[: i + 1] + seq[: i : -1]
+                if rows[b] & outside:
+                    return "extendable", nxt, nh.hamiltonize._unwind(((piv, b, end), link))
+                if head >> b & 1:
+                    return "cycle", nxt, nh.hamiltonize._unwind(((piv, b, end), link))
+                size = len(seen)
+                seen.add(nxt if a < b else nxt[::-1])
+                if len(seen) > size:
+                    queue.append((nxt, depth + 1, ((piv, b, end), link)))
+    return "failure", path, []
 
 
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):

@@ -226,6 +226,12 @@ NUMBER_ARGUMENTS = {
     "random_regular d": (lambda: nh.random_regular(10, "3", 0), "integers 2 <= d < n"),
     "merge_budget bool": (lambda: nh.hamiltonize.merge_budget(10, 3, 1.0, True), "must be a number"),
     "merge_budget str": (lambda: nh.hamiltonize.merge_budget(10, 3, 1.0, "10"), "must be a number"),
+    "janson_expectation_gnp p bool": (lambda: nh.janson_expectation_gnp(6, True), "number 0 < p"),
+    "janson_expectation_gnp p str": (lambda: nh.janson_expectation_gnp(6, "0.5"), "number 0 < p"),
+    "monte_carlo_gnp p bool": (lambda: nh.monte_carlo_gnp(6, True, 2), "number 0 <= p"),
+    "monte_carlo_gnp p str": (lambda: nh.monte_carlo_gnp(6, "0.5", 2), "number 0 <= p"),
+    "certify epsilon bool": (lambda: nh.certify(nh.petersen(), True), "must be a number"),
+    "certify epsilon str": (lambda: nh.certify(nh.petersen(), "0.1"), "must be a number"),
 }
 
 

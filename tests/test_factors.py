@@ -131,6 +131,11 @@ def test_validate_two_factor_messages():
         (c4, ((0, 2), (1, 3)), "non-edge component"),
         (c4, ((0, 2, 1, 3),), r"non-edge \(0,2\) in component"),
         (c4, ((0, 1, 3, 2),), r"non-edge \(1,3\) in component"),
+        # mixed faults: the partition first, then each component in order,
+        # its length before its edges
+        (c4, ((0, 2), (1,), (3,)), "non-edge component"),
+        (c4, ((1,), (0, 2), (3,)), "shorter than 2"),
+        (c4, ((0, 2), (2, 3)), "partition"),  # a non-edge and an overlap
     ]
     for g, comps, msg in cases:
         f = nh.TwoFactor(comps)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ndlham as nh
-from conftest import set_replay, two_factor_from_components
+from conftest import eager_rotate, set_replay, two_factor_from_components
 from ndlham.errors import InconsistentTrace, InvalidParameters
 from ndlham.hamiltonize import merge_budget
 
@@ -155,6 +155,57 @@ def test_traces_pinned():
     assert h.hexdigest() == (
         "f90797716dd05d6c1886b7a53efbb04c8f298e7069778acc1938255dca21bbdb"
     )
+
+
+@pytest.mark.parametrize(
+    "budget_constant, digest",
+    [
+        (0.5, "e5bd416c484a17267ab0ba00a4c6d4fb923c7f065227440fb5b89d1562e3f86c"),
+        (0.01, "9228b0cf9b16db106ecb0b6c68c0491812f87747c0d4b282cd280a64e0183734"),
+    ],
+)
+def test_traces_pinned_under_small_budgets(budget_constant, digest):
+    # the runs where the rotation budget decides: digests taken from the
+    # engine that built every rotation successor as soon as it was generated
+    h = hashlib.sha256()
+    for s in range(3):
+        g = nh.random_regular(12, 4, s)
+        cert = nh.certify(g)
+        for f in nh.enumerate_two_factors(g):
+            tr = nh.two_factor_to_hamilton(g, f, cert, budget_constant)
+            h.update(repr((f.components, tr)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_rotate_matches_eager_reference(monkeypatch):
+    # every search the engine makes while converting all 2-factors of
+    # rr(12,4,0..2), under a budget that rarely binds and two that often do,
+    # gives the reference's (kind, path, rotations)
+    calls = collections.Counter()
+    lazy = nh.hamiltonize._rotate
+
+    def both(rows, path, outside, inside, budget):
+        got = lazy(rows, path, outside, inside, budget)
+        assert got == eager_rotate(rows, path, outside, inside, budget), (path, budget)
+        calls[got[0]] += 1
+        return got
+
+    monkeypatch.setattr(nh.hamiltonize, "_rotate", both)
+    for budget_constant in (10.0, 0.5, 0.01):
+        for s in range(3):
+            g = nh.random_regular(12, 4, s)
+            cert = nh.certify(g)
+            for f in nh.enumerate_two_factors(g):
+                nh.two_factor_to_hamilton(g, f, cert, budget_constant)
+    assert set(calls) == {"extendable", "cycle", "failure"}
+    # the Petersen spanning path never closes: the search runs out of
+    # budget at every depth
+    pet = nh.petersen()
+    hp = (0, 1, 2, 3, 4, 9, 6, 8, 5, 7)
+    for budget in range(1, 5):
+        got = rotate(pet, hp, budget)
+        assert got[0] == "failure"
+        assert got == eager_rotate(pet.rows, hp, 0, (1 << 10) - 1, budget)
 
 
 def test_budget_formula():
