@@ -49,14 +49,8 @@ class TwoFactor:
         return sum(1 for c in self.components if len(c) >= 3)
 
     def edges(self):
-        out = set()
-        for comp in self.components:
-            if len(comp) == 2:
-                out.add(tuple(sorted(comp)))
-            else:
-                for i in range(len(comp)):
-                    out.add(tuple(sorted((comp[i], comp[(i + 1) % len(comp)]))))
-        return out
+        return {(u, v) if u < v else (v, u)
+                for comp in self.components for u, v in zip(comp, (*comp[1:], *comp[:1]))}
 
 
 def validate_two_factor(g, f):
@@ -72,77 +66,59 @@ def _component_masks(g, f, have=None):
     bitset row per vertex, a 2-vertex component being one edge.
 
     One walk builds each component's mask and checks its edges, the one
-    from its last vertex back to its first included, and fills ``have``
-    only if it is given.  Any fault, or a numpy integer vertex, sends the
-    factor to ``_factor_fault``, which walks it again in the order that
-    picks the message."""
-    rows = g.rows
+    from its last vertex back to its first included, fills ``have`` only if
+    it is given, and records the first component with a non-edge or fewer
+    than 2 vertices.  A component with a vertex that is no int in 0..n-1
+    adds its length to ``size`` but no mask, so the partition fails.  The
+    faults are named in this order: the partition, then the recorded
+    component's length, then its first non-edge from ``comp[0]`` on.  A
+    factor with numpy integer vertices is checked as its int copy, with
+    ``have`` zeroed, since its masks would wrap at their width."""
+    rows, n, bad = g.rows, g.n, None
     out, covered, size = [], 0, 0
-    try:
-        for comp in f.components:
+    for comp in f.components:
+        try:
+            size += len(comp)
             m, u = 0, comp[-1]
             ubit = 1 << u
             for v in comp:
                 bit = 1 << v
-                if not rows[u] & bit:
-                    break
+                if not rows[u] & bit and bad is None:
+                    bad = comp
                 m |= bit
                 if have is not None:
                     have[u] |= bit
                     have[v] |= ubit
                 u, ubit = v, bit
-            else:
-                out.append((m, comp))
-                covered |= m
-                size += len(comp)
-                continue
-            break
-        else:
-            if type(covered) is int and size == g.n and covered == (1 << g.n) - 1:
-                return out
-    except (IndexError, OverflowError, TypeError, ValueError):
-        pass  # a vertex that is no integer in 0..n-1
-    return _factor_fault(g, f, have)
-
-
-def _factor_fault(g, f, have):
-    """Raise the message of the first fault of ``f``: the partition first,
-    then each component in order, its length before its first non-edge
-    from ``comp[0]`` on.  A factor with numpy integer vertices and no fault
-    is checked again on the vertices taken to ints, with ``have`` zeroed;
-    its masks would otherwise be numpy integers, which wrap at their
-    width."""
-    covered, size = 0, 0
+            covered |= m
+            out.append((m, comp))
+        except (IndexError, OverflowError, TypeError, ValueError):
+            # no vertex, or one that is no int in 0..n-1
+            if bad is None:
+                bad = comp
+    if type(covered) is int and bad is None and size == n and covered == (1 << n) - 1:
+        return out
     try:
-        for comp in f.components:
-            for v in comp:
-                covered |= 1 << v
-            size += len(comp)
-    except (ValueError, TypeError):  # a negative or non-integer vertex
-        covered = -1
-    if type(covered) is not int:
-        # operator.index refuses a numpy bool, as it refuses a float
-        try:
-            ints = TwoFactor(tuple(tuple(map(operator.index, c)) for c in f.components))
-        except TypeError:
-            covered = -1
-        else:
-            if have is not None:
-                have[:] = [0] * len(have)
-            return _component_masks(g, ints, have)
-    if size != g.n or covered != (1 << g.n) - 1:
+        numpy = not all(isinstance(v, int) for comp in f.components for v in comp)
+        if numpy:  # operator.index refuses a float, a str, None and a numpy bool
+            f = TwoFactor(tuple(tuple(map(operator.index, c)) for c in f.components))
+    except TypeError:  # or a component is no sequence
+        numpy, covered = False, -1
+    if numpy:
+        if have is not None:
+            have[:] = [0] * n
+        return _component_masks(g, f, have)
+    if size != n or covered != (1 << n) - 1:
         raise InvalidParameters("two-factor components must partition the vertex set")
-    rows = g.rows
-    for comp in f.components:
-        if len(comp) < 2:
-            raise InvalidParameters("component shorter than 2")
-        u = comp[0]
-        for v in (*comp[1:], u):
-            if not rows[u] >> v & 1:
-                if len(comp) == 2:
-                    raise InvalidParameters(f"non-edge component {comp}")
-                raise InvalidParameters(f"non-edge ({u},{v}) in component {comp}")
-            u = v
+    if len(bad) < 2:
+        raise InvalidParameters("component shorter than 2")
+    u = bad[0]
+    for v in (*bad[1:], u):
+        if not rows[u] >> v & 1:
+            if len(bad) == 2:
+                raise InvalidParameters(f"non-edge component {bad}")
+            raise InvalidParameters(f"non-edge ({u},{v}) in component {bad}")
+        u = v
 
 
 def _components(rows, free, visit):
@@ -417,22 +393,13 @@ def _hamilton_dp(g, p=None):
 
 
 def is_hamilton_cycle(g, seq):
-    """Whether ``seq`` lists a Hamilton cycle of g: n vertices, each a
-    neighbor of the one before it (the first of the last), whose bits fill
-    the vertex mask."""
-    n = g.n
-    if len(seq) != n or n < 3 or not 0 <= seq[-1] < n:
+    """Whether ``seq`` lists a Hamilton cycle of g: it is the one component
+    of a 2-factor of g and has at least 3 vertices."""
+    try:
+        _component_masks(g, TwoFactor((seq,)))
+    except InvalidParameters:
         return False
-    rows = g.rows
-    seen = 0
-    u = seq[-1]
-    for v in seq:
-        # a vertex >= n is in no row; a negative one is rejected first
-        if v < 0 or not rows[u] >> v & 1:
-            return False
-        seen |= 1 << v
-        u = v
-    return seen == (1 << n) - 1
+    return len(seq) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,13 @@ def _bits(x):
 
 
 def _mask(vertices, n):
-    """Bitset of ``vertices``, each checked to lie in 0..n-1."""
+    """Bitset of ``vertices``, each checked to be an integer, not a bool, in
+    0..n-1."""
     m = 0
     for v in vertices:
-        if not 0 <= v < n:
-            raise InvalidParameters(f"vertex {v} out of range")
-        m |= 1 << v
+        if not is_int(v) or not 0 <= v < n:
+            raise InvalidParameters(f"vertex {v!r} is not an integer in 0..{n - 1}")
+        m |= 1 << int(v)
     return m
 
 

@@ -305,9 +305,9 @@ def replay(g, f, trace):
     # once and carried along as a's and b's
     cyc = trace.hamilton_cycle
     seen, same, out = 0, True, set()
-    if len(cyc) == n >= 3:
-        b = cyc[-1]
-        try:
+    try:
+        if len(cyc) == n >= 3:
+            b = cyc[-1]
             abit, bbit = 1 << cyc[-2], 1 << b
             for c in cyc:
                 # a vertex >= n is in no row, a negative one fails the shift
@@ -319,8 +319,8 @@ def replay(g, f, trace):
                     same = False
                 out.add((b, c) if b < c else (c, b))
                 abit, bbit, b = bbit, cbit, c
-        except (TypeError, IndexError, ValueError):  # no vertex
-            seen = 0
+    except (TypeError, IndexError, ValueError):  # no sequence, or no vertex
+        seen = 0
     if seen != (1 << n) - 1:
         raise InconsistentTrace("recorded cycle is not a Hamilton cycle")
     if not same:

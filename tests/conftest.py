@@ -1,12 +1,13 @@
 import itertools
 import math
+import operator
 from collections import deque
 
 import numpy as np
 import pytest
 
 import ndlham as nh
-from ndlham.errors import InconsistentTrace
+from ndlham.errors import InconsistentTrace, InvalidParameters
 
 
 def random_regular_corpus():
@@ -235,6 +236,40 @@ def two_factor_from_components(components):
     """The TwoFactor with these components, each in canonical form, in
     sorted order."""
     return nh.TwoFactor(tuple(sorted(canonical_component(c) for c in components)))
+
+
+def reference_component_masks(g, f, have=None):
+    """What ``factors._component_masks`` returns and fills in ``have``, or
+    the message it raises, found in the message order one check at a time:
+    the sorted vertices must be 0..n-1, then each component in order must
+    have at least 2 vertices, then each of its edges from ``comp[0]`` on
+    must be an edge of g.  A factor with a vertex that is no int is checked
+    as its int copy if ``operator.index`` takes every vertex."""
+    partition = InvalidParameters("two-factor components must partition the vertex set")
+    comps = f.components
+    try:
+        if not all(isinstance(v, int) for c in comps for v in c):
+            comps = tuple(tuple(operator.index(v) for v in c) for c in comps)
+    except TypeError:
+        raise partition from None
+    if sorted(v for c in comps for v in c) != list(range(g.n)):
+        raise partition
+    for c in comps:
+        if len(c) < 2:
+            raise InvalidParameters("component shorter than 2")
+        for i in range(len(c)):
+            u, v = c[i], c[(i + 1) % len(c)]
+            if not g.has_edge(u, v):
+                if len(c) == 2:
+                    raise InvalidParameters(f"non-edge component {c}")
+                raise InvalidParameters(f"non-edge ({u},{v}) in component {c}")
+    if have is not None:
+        for c in comps:
+            for i in range(len(c)):
+                u, v = c[i - 1], c[i]
+                have[u] |= 1 << v
+                have[v] |= 1 << u
+    return [(sum(1 << v for v in c), c) for c in comps]
 
 
 def set_replay(g, f, trace):

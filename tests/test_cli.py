@@ -114,6 +114,34 @@ def test_report_in_the_theorem_regime(tmp_path, capsys):
     assert json.loads(out)["cond1_margin"] == pytest.approx(1.13, abs=0.005)
 
 
+def test_report_text_nests_by_indent(tmp_path, capsys):
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "petersen", "-o", path])
+    code, out, _ = run(capsys, ["report", path, "--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    i = lines.index("exact:")
+    assert lines[i + 1] == "  permanent: 60"
+    j = lines.index("  f_histogram:")
+    assert i < j and lines[j + 1] == "    2: 21"
+
+
+def test_count_matchings(tmp_path, capsys):
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "petersen", "-o", path])
+    code, out, _ = run(capsys, ["count", "matchings", path])
+    assert code == 0
+    assert json.loads(out) == {"perfect_matchings": "6"}
+
+
+def test_hamiltonize_without_two_factor_exit_0(tmp_path, capsys):
+    path = tmp_path / "edgeless.el"
+    path.write_text("4 0\n")
+    code, out, _ = run(capsys, ["hamiltonize", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"error": "graph has no 2-factor"}
+
+
 def test_tail_empty_graph_exit_2(tmp_path, capsys):
     path = tmp_path / "empty.el"
     path.write_text("0 0\n")
@@ -221,6 +249,7 @@ OPTION_TARGETS = {
 @pytest.mark.parametrize("option, accepted", [
     (["--epsilon", "0.2"], {"certify"}),
     (["--format", "csv"], {"certify", "count", "report"}),
+    (["--format", "text"], set(OPTION_TARGETS)),
 ])
 def test_options_only_where_they_act(tmp_path, capsys, option, accepted):
     path = str(tmp_path / "k4.el")

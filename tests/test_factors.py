@@ -7,7 +7,13 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters, TooLarge
-from ndlham.factors import _hamilton_dp, is_hamilton_cycle, phi_argmax, validate_two_factor
+from ndlham.factors import (
+    _component_masks,
+    _hamilton_dp,
+    is_hamilton_cycle,
+    phi_argmax,
+    validate_two_factor,
+)
 from ndlham.permanent import PRIMES, bregman_below
 from conftest import (
     backtrack_two_factors,
@@ -17,6 +23,7 @@ from conftest import (
     complement,
     ie_hamilton_count,
     induced_phi,
+    reference_component_masks,
 )
 
 
@@ -166,6 +173,78 @@ def test_validate_numpy_integer_vertices():
         else:
             with pytest.raises(InvalidParameters, match=msg):
                 validate_two_factor(k4, f)
+
+
+def _mutated(g, comps, rng):
+    """``comps`` changed once at random: a component reversed, shuffled,
+    merged with the next, split in two (at a point, or into its even and
+    odd positions) or an empty one inserted, or one vertex replaced by -1,
+    n, 2.0, "x", None, True, np.True_ or its np.int64, or every vertex by
+    its np.int64."""
+    comps = [list(c) for c in comps]
+    i = rng.randrange(len(comps))
+    c = comps[i]
+    kind = rng.randrange(9)
+    if kind == 0:
+        c.reverse()
+    elif kind == 1:
+        rng.shuffle(c)
+    elif kind == 2 and len(comps) > 1:
+        c += comps.pop((i + 1) % len(comps))
+    elif kind == 3 and len(c) > 1:
+        k = rng.randrange(1, len(c))
+        comps[i : i + 1] = [c[:k], c[k:]]
+    elif kind == 4:
+        comps[i : i + 1] = [c[::2], c[1::2]]
+    elif kind == 5:
+        comps.insert(rng.randrange(len(comps) + 1), [])
+    elif c:
+        j = rng.randrange(len(c))
+        if kind == 6:
+            c[j] = rng.choice((-1, g.n, 2.0, "x", None, True, np.True_))
+        elif kind == 7:
+            c[j] = np.int64(c[j]) if isinstance(c[j], int) else c[j]
+        else:
+            comps = [[np.int64(v) if isinstance(v, int) else v for v in c] for c in comps]
+    return tuple(map(tuple, comps))
+
+
+def _masks_outcome(check, g, f, have):
+    """The message ``check`` raises, or the masks it returns and the rows it
+    fills in ``have``."""
+    try:
+        out = check(g, f, have)
+    except InvalidParameters as exc:
+        return str(exc)
+    assert all(type(m) is int for m, _ in out)
+    return out, have
+
+
+def test_component_masks_match_message_order_reference():
+    # the one walk against a reference that checks the partition, then each
+    # component's length, then its edges, with and without ``have``
+    rng = random.Random(2011)
+    graphs = [nh.complete(4), nh.cycle(4), nh.cycle(6), nh.petersen(),
+              nh.random_regular(10, 4, 2), nh.random_regular(12, 3, 1), nh.cycle(70)]
+    outcomes = []
+    for g in graphs:
+        if g.n <= nh.factors.ENUM_CAP:
+            base = [f.components for f in nh.enumerate_two_factors(g)]
+        else:
+            base = [(tuple(range(g.n)),)]
+        for _ in range(430):
+            comps = rng.choice(base)
+            for _ in range(rng.randint(1, 2)):
+                comps = _mutated(g, comps, rng)
+            f = nh.TwoFactor(comps)
+            for fill in (False, True):
+                got = _masks_outcome(_component_masks, g, f, [0] * g.n if fill else None)
+                want = _masks_outcome(reference_component_masks, g, f, [0] * g.n if fill else None)
+                assert got == want, (g.n, comps)
+            outcomes.append(got if isinstance(got, str) else "valid")
+    assert len(outcomes) == 7 * 430
+    for part in ("valid", "partition", "shorter than 2", "non-edge component", "non-edge ("):
+        assert any(part in got for got in outcomes), part
 
 
 def test_weighted_sum_examples():
@@ -359,6 +438,18 @@ def test_is_hamilton_cycle():
         assert not is_hamilton_cycle(g, seq), seq
 
 
+def test_is_hamilton_cycle_answers_a_bool():
+    c5 = nh.cycle(5)
+    for seq in [(0.0, 1, 2, 3, 4), (0, 1, 2, 3, "4"), None]:
+        assert is_hamilton_cycle(c5, seq) is False, seq
+    # numpy integers are taken as their ints, past bit 63 too
+    c70 = nh.cycle(70)
+    assert is_hamilton_cycle(c70, tuple(np.arange(70))) is True
+    assert is_hamilton_cycle(c70, tuple(np.arange(70)[::-1])) is True
+    assert is_hamilton_cycle(c70, tuple(np.arange(1, 71) % 70)) is True
+    assert is_hamilton_cycle(c70, tuple(np.arange(69))) is False
+
+
 def test_matching_counts():
     assert nh.perfect_matching_count(nh.complete(4)) == 3
     assert nh.perfect_matching_count(nh.cycle(6)) == 2
@@ -440,6 +531,8 @@ def test_near_hamilton_rejects_non_cycle():
     cycle = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
     with pytest.raises(InvalidParameters, match="k >= 0"):
         nh.two_factors_near_hamilton(k4, cycle, -1)
+    with pytest.raises(InvalidParameters, match="H is not a Hamilton cycle"):
+        nh.two_factors_near_hamilton(k4, nh.TwoFactor(((0.0, 1, 2, 3),)), 1)
 
 
 def test_relabel_invariance():

@@ -278,6 +278,13 @@ def test_numpy_integer_vertices():
     tr = nh.two_factor_to_hamilton(c70, f, nh.certify(c70))
     assert tr.success and tr.hamilton_cycle == tuple(range(70))
     assert nh.replay(c70, f, tr) == f.edges()
+    # and mixed with ints: the int masks must not meet a numpy vertex's bit
+    for f in [nh.TwoFactor((tuple(range(69)) + (np.int64(69),),)),
+              nh.TwoFactor((tuple(np.int64(v) for v in range(3)) + tuple(range(3, 70)),))]:
+        nh.factors.validate_two_factor(c70, f)
+        tr = nh.two_factor_to_hamilton(c70, f, nh.certify(c70))
+        assert tr.success and tr.hamilton_cycle == tuple(range(70))
+        assert nh.replay(c70, f, tr) == f.edges()
     # operator.index refuses a numpy bool, as it refuses a float
     with pytest.raises(InvalidParameters, match="partition"):
         nh.factors.validate_two_factor(nh.cycle(3), nh.TwoFactor(((0, np.True_, 2),)))
@@ -335,7 +342,7 @@ def test_replay_rejects_recorded_non_cycles():
         assert nh.replay(c5, f, good) == set_replay(c5, f, good) == f.edges()
     for seq in [(0, 1, 2, 3, 3), (0, 1, 2, 3, -1), (0, -4, 2, 3, 4), (0, 1, 2, 3, 5),
                 (0, 1, 7, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 4, 0), (0, 2, 1, 3, 4),
-                (-1, 1, 2, 3, 4), (5, 1, 2, 3, 4), (0, 1, 2.0, 3, 4), ()]:
+                (-1, 1, 2, 3, 4), (5, 1, 2, 3, 4), (0, 1, 2.0, 3, 4), (), None]:
         bad = dataclasses.replace(tr, hamilton_cycle=seq)
         with pytest.raises(InconsistentTrace, match="not a Hamilton cycle"):
             nh.replay(c5, f, bad)

@@ -40,6 +40,22 @@ def test_edge_count_monotone():
         prev = cur
 
 
+@pytest.mark.parametrize("v", [1.0, "1", True, np.True_])
+def test_vertex_sets_refuse_non_integers(v):
+    g = nh.petersen()
+    for call in (lambda: nh.edge_count(g, [v], [0]), lambda: nh.edge_count(g, [0], [v]),
+                 lambda: nh.expansion_check(g, nh.certify(g), [v])):
+        with pytest.raises(InvalidParameters, match=r"is not an integer in 0\.\.9"):
+            call()
+
+
+def test_vertex_sets_take_numpy_integers():
+    g = nh.petersen()
+    assert nh.edge_count(g, [np.int64(0)], np.arange(10)) == 3
+    # past bit 63 a numpy mask would wrap
+    assert nh.edge_count(nh.cycle(70), [np.int64(68)], [np.int64(69)]) == 1
+
+
 def _row(n, members):
     """A one-row 0/1 membership block."""
     m = np.zeros((1, n))
