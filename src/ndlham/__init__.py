@@ -48,9 +48,9 @@ from .factors import (
     enumerate_two_factors,
     factor_histogram,
     hamilton_count_exact,
+    near_hamilton_distances,
     perfect_matching_count,
     phi,
-    two_factors_near_hamilton,
 )
 from .hamiltonize import RotationTrace, replay, two_factor_to_hamilton
 from .experiments import (

@@ -7,7 +7,7 @@ the permanent expansion (its two orientations), which is what makes the
 ``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
 One component walk, ``_components``, lists the edges and canonical cycles
 through the lowest free vertex.  The enumerator memoizes each free mask's
-list of covers, read by the near-Hamilton counts for any k >= 0; one cover
+list of covers, read by the near-Hamilton distance counts; one cover
 table memoizes the generating functions of G[X] for every mask X, read by
 the histogram and by ``phi``.  All of them run up to ENUM_CAP vertices.
 Hamilton cycles are counted by the Held-Karp subset DP over the live subsets
@@ -455,14 +455,14 @@ def phi_argmax(g, k):
     return best, best_set
 
 
-def two_factors_near_hamilton(g, h, k):
-    """Number of 2-factors F within k edge replacements of the Hamilton cycle
-    h, i.e. |E(H) \\ E(F)| <= k, for any integer k >= 0 (k >= n counts every
-    2-factor), over ``enumerate_two_factors``, n <= ENUM_CAP."""
-    if not is_int(k) or k < 0:
-        raise InvalidParameters("two_factors_near_hamilton: integer k >= 0 required")
-    check_cap(g.n, ENUM_CAP, "two_factors_near_hamilton")
-    if h.num_components != 1 or not is_hamilton_cycle(g, h.components[0]):
-        raise InvalidParameters("two_factors_near_hamilton: H is not a Hamilton cycle")
-    h_edges = h.edges()
-    return sum(len(h_edges - f.edges()) <= k for f in enumerate_two_factors(g))
+def near_hamilton_distances(g, cycle):
+    """Entry j of the n + 1 counts is the number of 2-factors F with
+    |E(H) \\ E(F)| = j for the Hamilton cycle H listed by ``cycle``, from one
+    enumeration, n <= ENUM_CAP.  Entry 1 is 0: an F with n - 1 edges of H is H."""
+    check_cap(g.n, ENUM_CAP, "near_hamilton_distances")
+    if not is_hamilton_cycle(g, cycle):
+        raise InvalidParameters("near_hamilton_distances: H is not a Hamilton cycle")
+    h_edges, counts = TwoFactor((cycle,)).edges(), [0] * (g.n + 1)
+    for f in enumerate_two_factors(g):
+        counts[len(h_edges - f.edges())] += 1
+    return counts

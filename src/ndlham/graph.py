@@ -65,18 +65,27 @@ class Graph:
         return _unpack(self.rows, self.n).astype(np.float64)
 
     def induced(self, vertices):
-        """Induced subgraph on ``vertices``, relabeled 0..k-1 in sorted order."""
-        verts = sorted(vertices)
-        index = {v: i for i, v in enumerate(verts)}
+        """Induced subgraph on ``vertices``, distinct integers in 0..n-1,
+        relabeled 0..k-1 in sorted order."""
+        vertices = list(vertices)
+        mask = _mask(vertices, self.n)
+        if mask.bit_count() != len(vertices):
+            raise InvalidParameters("induced: repeated vertex")
+        index = {v: i for i, v in enumerate(_bits(mask))}
         edges = [
             (index[u], index[v])
             for u, v in self.edges()
             if u in index and v in index
         ]
-        return from_edges(len(verts), edges)
+        return from_edges(len(index), edges)
 
     def relabeled(self, perm):
-        """Image under the vertex relabeling i -> perm[i]."""
+        """Image under the vertex relabeling i -> perm[i], for a permutation
+        ``perm`` of 0..n-1."""
+        perm = list(perm)
+        if len(perm) != self.n or _mask(perm, self.n) != (1 << self.n) - 1:
+            raise InvalidParameters(f"relabeled: perm must be a permutation of 0..{self.n - 1}")
+        perm = [int(v) for v in perm]
         return from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
 

@@ -13,8 +13,9 @@ vertex, so each logged operation flips one bit in each endpoint's row.
 """
 
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InconsistentTrace, InvalidParameters, check_certificate, is_real
 from .factors import _component_masks
@@ -272,7 +273,47 @@ def replay(g, f, trace):
     inserting a non-edge of G or an edge already present, deleting an
     absent edge, an unknown op, or a successful trace not ending at the
     recorded Hamilton cycle).
+
+    A trace that names an integer of another type than int, such as a
+    numpy integer, is replayed again as its int copy when its own replay
+    fails: such a vertex's bit wraps at its width, and the rows it touches
+    are no ints.
     """
+    try:
+        return _replay(g, f, trace)
+    except (InconsistentTrace, ArithmeticError, AttributeError):
+        ints = _int_copy(trace)
+        if ints is None:
+            raise
+    return _replay(g, f, ints)
+
+
+def _int_copy(trace):
+    """``trace`` with each vertex that is an integer but no int taken as its
+    int, or None if it has no such vertex; anything else stays as it is."""
+    found = False
+
+    def index(v):
+        nonlocal found
+        if not isinstance(v, int):
+            try:
+                v, found = operator.index(v), True
+            except TypeError:  # a float, str, None or numpy bool
+                pass
+        return v
+
+    def copy(seq):
+        try:
+            return tuple(map(index, seq))
+        except TypeError:  # no sequence
+            return seq
+
+    ops, cyc = tuple(map(copy, trace.trace)), copy(trace.hamilton_cycle)
+    return replace(trace, trace=ops, hamilton_cycle=cyc) if found else None
+
+
+def _replay(g, f, trace):
+    """``replay`` on the trace's vertices as they are."""
     n, rows = g.n, g.rows
     have = [0] * n
     _component_masks(g, f, have)

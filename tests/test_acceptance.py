@@ -128,16 +128,21 @@ def test_criterion_7_rotation_engine():
 
 
 def test_criterion_8_neighborhood_bound():
-    for n in (4, 5, 6):
-        g = nh.complete(n)
-        d = n - 1
-        cycles = [f for f in nh.enumerate_two_factors(g) if f.num_components == 1]
+    graphs = [nh.complete(n) for n in (4, 5, 6)]
+    graphs += [nh.random_regular(12, 4, 0), nh.random_regular(16, 4, 0)]
+    for g in graphs:
+        n, d = g.n, g.degree(0)
+        cycles = [f.components[0] for f in nh.enumerate_two_factors(g) if f.num_components == 1]
         assert cycles
-        for h in cycles:
-            for k in (0, 1, 2):
-                count = nh.two_factors_near_hamilton(g, h, k)
+        # every Hamilton cycle up to n = 12, and four spread over rr(16,4,0)'s
+        # 650; one enumeration each
+        for h in cycles if n <= 12 else cycles[:: len(cycles) // 3]:
+            count = 0
+            for k, at_k in enumerate(nh.near_hamilton_distances(g, h)):
+                count += at_k
                 assert count <= math.comb(n, k) * d ** (2 * k), (n, k, count)
-    report(8, "2-factors near H bounded by binom(n,k) d^(2k) on K4..K6, k <= 2", True)
+    report(8, "2-factors near H bounded by binom(n,k) d^(2k) on K4..K6, rr(12,4,0)"
+           " and rr(16,4,0), every k", True)
 
 
 def test_criterion_9_matching_corollary():

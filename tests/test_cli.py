@@ -214,6 +214,25 @@ def test_python_m_ndlham(tmp_path, capsys):
     assert json.loads(proc.stdout)["d"] == 6
 
 
+def test_python_m_ndlham_exit_codes(tmp_path, capsys):
+    # the module entry point passes main's exit code on, argparse's 2 included
+    path = str(tmp_path / "petersen.el")
+    run(capsys, ["gen", "petersen", "-o", path])
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "ndlham", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+
+    proc = python_m("count", "hamilton", path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"hamilton_cycles": "0"}
+    proc = python_m("nonsense", path)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "invalid choice" in proc.stderr
+
+
 def test_usage_error_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "nonsense", "x"])

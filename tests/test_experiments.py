@@ -185,17 +185,11 @@ def test_negative_seed_rejected():
             call()
 
 
-def _k4_and_hamilton_cycle():
-    k4 = nh.complete(4)
-    return k4, next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
-
-
 # each call takes its integer argument as x; a bool would otherwise act as 0 or 1
 INTEGER_ARGUMENTS = {
     "monte_carlo_gnp": lambda x: nh.monte_carlo_gnp(6, 0.5, x),
     "phi": lambda x: nh.phi(nh.complete(4), x),
     "phi_argmax": lambda x: nh.factors.phi_argmax(nh.complete(4), x),
-    "two_factors_near_hamilton": lambda x: nh.two_factors_near_hamilton(*_k4_and_hamilton_cycle(), x),
 }
 
 
@@ -240,3 +234,35 @@ def test_number_argument_of_wrong_type_refused(name):
     call, match = NUMBER_ARGUMENTS[name]
     with pytest.raises(InvalidParameters, match=match):
         call()
+
+
+# a raise that no other test reaches: each call, its exception type and message
+_IRREGULAR = nh.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+GUARDS = {
+    "certify n": (lambda: nh.certify(nh.from_edges(2, [(0, 1)])),
+                  InvalidParameters, "certify: n >= 3 required"),
+    "ZeroOneMatrix width": (lambda: nh.ZeroOneMatrix(2, (0b100, 0)),
+                            InvalidParameters, "rows must be n bitsets of width n"),
+    "bregman_bound": (lambda: nh.bregman_bound([2, -1]),
+                      InvalidParameters, "bregman_bound: negative row sum"),
+    "vdw_lower": (lambda: nh.vdw_lower(3, 4), InvalidParameters, "vdw_lower: 1 <= d <= n required"),
+    "regular_upper": (lambda: nh.regular_upper(3, 0),
+                      InvalidParameters, "regular_upper: d >= 1 required"),
+    "alon_friedland_upper": (lambda: nh.alon_friedland_upper(4, 0),
+                             InvalidParameters, "alon_friedland_upper: d >= 1 required"),
+    "expansion_check": (lambda: nh.expansion_check(nh.petersen(), nh.certify(nh.petersen()), []),
+                        InvalidParameters, "expansion_check: X must be nonempty"),
+    "tail_diagnostics": (lambda: nh.tail_diagnostics(_IRREGULAR),
+                         NotRegular, "tail_diagnostics: graph is not regular"),
+    "phi_estimate_report": (lambda: nh.phi_estimate_report(_IRREGULAR, 3),
+                            NotRegular, "phi_estimate_report: graph is not regular"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_guard_raises(name):
+    call, kind, message = GUARDS[name]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message

@@ -501,38 +501,52 @@ def test_phi_examples():
         nh.phi(k4, 1)
 
 
-def test_near_hamilton_counts():
-    k4 = nh.complete(4)
-    h = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
-    assert nh.two_factors_near_hamilton(k4, h, 0) == 1
-    assert nh.two_factors_near_hamilton(k4, h, 2) <= math.comb(4, 2) * 3**4
+def first_hamilton_cycle(g):
+    """H: the one component of the first Hamilton cycle in enumeration order."""
+    return next(f for f in nh.enumerate_two_factors(g) if f.num_components == 1).components[0]
 
-    k5 = nh.complete(5)
-    h5 = next(f for f in nh.enumerate_two_factors(k5) if f.num_components == 1)
-    assert nh.two_factors_near_hamilton(k5, h5, 1) <= 5 * 4**2
+
+def test_near_hamilton_counts():
+    for g, want in [
+        (nh.complete(4), [1, 0, 4, 0, 1]),
+        (nh.complete(5), [1, 0, 10, 5, 5, 1]),
+        (nh.complete(6), [1, 0, 18, 28, 42, 30, 11]),
+        (nh.random_regular(16, 4, 0),
+         [1, 0, 6, 27, 73, 230, 538, 1014, 1425, 1621, 1485, 1076, 624, 285, 99, 16, 1]),
+    ]:
+        got = nh.near_hamilton_distances(g, first_hamilton_cycle(g))
+        assert got == want, g.n
+        assert sum(got) == nh.factor_histogram(g).total
+        assert got[1] == 0  # a 2-factor with n - 1 edges of H is H
+        d = g.degree(0)
+        for k in range(g.n + 1):
+            assert sum(got[: k + 1]) <= math.comb(g.n, k) * d ** (2 * k), (g.n, k)
 
 
 def test_near_hamilton_matches_brute_distances(corpus):
     rr8 = next(g for name, g in corpus if name.startswith("rr(n=8,"))
     for g in (nh.complete(5), nh.complete(6), rr8):
-        h = next(f for f in nh.enumerate_two_factors(g) if f.num_components == 1)
-        h_edges = h.edges()
-        distances = [len(h_edges - f) for f in brute_two_factors(g)]
-        for k in range(g.n + 1):
-            expected = sum(dist <= k for dist in distances)
-            assert nh.two_factors_near_hamilton(g, h, k) == expected, (g.n, k)
+        h = first_hamilton_cycle(g)
+        h_edges = nh.TwoFactor((h,)).edges()
+        expected = [0] * (g.n + 1)
+        for f in brute_two_factors(g):
+            expected[len(h_edges - f)] += 1
+        assert nh.near_hamilton_distances(g, h) == expected, g.n
+        # H as a list, or as numpy integers, gives the same list
+        assert nh.near_hamilton_distances(g, list(h)) == expected
+        assert nh.near_hamilton_distances(g, np.array(h)) == expected
 
 
 def test_near_hamilton_rejects_non_cycle():
     k4 = nh.complete(4)
     matching = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 2)
-    with pytest.raises(InvalidParameters):
-        nh.two_factors_near_hamilton(k4, matching, 1)
-    cycle = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
-    with pytest.raises(InvalidParameters, match="k >= 0"):
-        nh.two_factors_near_hamilton(k4, cycle, -1)
+    hamilton = next(f for f in nh.enumerate_two_factors(k4) if f.num_components == 1)
+    for seq in (matching.components[0], (0, 1, 2), (0, 1, 2, 3, 0), (0.0, 1, 2, 3),
+                hamilton, None):
+        with pytest.raises(InvalidParameters, match="H is not a Hamilton cycle"):
+            nh.near_hamilton_distances(k4, seq)
     with pytest.raises(InvalidParameters, match="H is not a Hamilton cycle"):
-        nh.two_factors_near_hamilton(k4, nh.TwoFactor(((0.0, 1, 2, 3),)), 1)
+        nh.near_hamilton_distances(nh.cycle(5), (0, 1, 2, 4, 3))
 
 
 def test_relabel_invariance():
@@ -559,14 +573,13 @@ def test_caps():
     with pytest.raises(TooLarge):
         nh.phi(big, 2)
     with pytest.raises(TooLarge):
-        nh.two_factors_near_hamilton(big, nh.TwoFactor((tuple(range(17)),)), 0)
-    # n = 16 is within the cap: C16 has its cycle and two perfect matchings
+        nh.near_hamilton_distances(big, tuple(range(17)))
+    # n = 16 is within the cap: C16 has its cycle and two perfect matchings,
+    # each sharing 8 of its 16 edges
     c16 = nh.cycle(16)
-    h = nh.TwoFactor((tuple(range(16)),))
     assert nh.phi(c16, 16) == 3
     assert nh.phi(c16, 8) == 1
-    assert nh.two_factors_near_hamilton(c16, h, 0) == 1
-    assert nh.two_factors_near_hamilton(c16, h, 16) == 3
+    assert nh.near_hamilton_distances(c16, range(16)) == [1] + [0] * 7 + [2] + [0] * 8
 
 
 def test_histogram_json():

@@ -157,3 +157,34 @@ def test_induced_subgraph():
     k4 = nh.complete(4)
     sub = k4.induced([1, 2, 3])
     assert sub.rows == nh.complete(3).rows
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: g.induced([0, 1, 99]), "vertex 99 is not an integer in 0..9"),
+    (lambda g: g.induced([-1, 0, 1]), "vertex -1 is not an integer in 0..9"),
+    (lambda g: g.induced([0, 1.0]), "vertex 1.0 is not an integer in 0..9"),
+    (lambda g: g.induced([True, 2]), "vertex True is not an integer in 0..9"),
+    (lambda g: g.induced([0, 0, 1]), "induced: repeated vertex"),
+    (lambda g: g.relabeled(list(range(9)) + [0]), "relabeled: perm must be a permutation of 0..9"),
+    (lambda g: g.relabeled([0] * 10), "relabeled: perm must be a permutation of 0..9"),
+    (lambda g: g.relabeled(range(9)), "relabeled: perm must be a permutation of 0..9"),
+    (lambda g: g.relabeled(range(11)), "relabeled: perm must be a permutation of 0..9"),
+    (lambda g: g.relabeled(["0", *range(1, 10)]), "vertex '0' is not an integer in 0..9"),
+], ids=["induced-99", "induced--1", "induced-float", "induced-bool", "induced-repeat",
+        "relabeled-repeat", "relabeled-constant", "relabeled-short", "relabeled-long",
+        "relabeled-str"])
+def test_vertex_lists_checked(build, message):
+    # each of these returned a wrong graph, or raised a misleading message
+    with pytest.raises(InvalidParameters) as err:
+        build(nh.petersen())
+    assert str(err.value) == message
+
+
+def test_vertex_lists_take_any_order_and_numpy_integers():
+    pet = nh.petersen()
+    sub = pet.induced([5, 2, 1, 0])
+    assert sub.edges() == [(0, 1), (0, 3), (1, 2)]
+    assert pet.induced(np.array([0, 1, 2, 5])).rows == sub.rows
+    flip = pet.relabeled(np.arange(10)[::-1])
+    assert flip.edge_count == 15
+    assert flip.relabeled(range(9, -1, -1)).rows == pet.rows

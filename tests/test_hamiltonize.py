@@ -118,6 +118,20 @@ def test_failures_two_disjoint_k4():
     }
 
 
+def test_failure_when_no_rotation_reaches_an_edge():
+    # once the digon (1, 11) is absorbed, no end of the path 9, 2, ..., 0, 11, 1
+    # sees 4 or 8, and the one rotation left to the merge neither reaches them
+    # nor closes the path
+    g = nh.random_regular(14, 3, 0)
+    f = nh.TwoFactor(((0, 3, 5, 10, 7, 6, 13, 12, 2, 9), (1, 11), (4, 8)))
+    tr = nh.two_factor_to_hamilton(g, f, nh.certify(g), budget_constant=0.05)
+    assert not tr.success
+    assert tr.failure_reason == "no rotation reaches an absorbing or closing edge"
+    assert (tr.budget, tr.replacements, tr.per_merge_replacements) == (2, 2, (2,))
+    assert tr.trace == (("delete", 0, 9), ("insert", 0, 11))
+    assert nh.replay(g, f, tr) == set_replay(g, f, tr)
+
+
 @pytest.mark.parametrize(
     "budget_constant, want",
     [
@@ -288,6 +302,37 @@ def test_numpy_integer_vertices():
     # operator.index refuses a numpy bool, as it refuses a float
     with pytest.raises(InvalidParameters, match="partition"):
         nh.factors.validate_two_factor(nh.cycle(3), nh.TwoFactor(((0, np.True_, 2),)))
+
+
+def test_replay_numpy_integer_trace_vertices():
+    # a trace naming numpy integers replays as its int copy, past bit 63 too
+    c70 = nh.cycle(70)
+    f = nh.TwoFactor((tuple(range(70)),))
+    tr = nh.two_factor_to_hamilton(c70, f, nh.certify(c70))
+    ops = (("delete", 68, 69), ("insert", 68, 69))
+    failed = dataclasses.replace(tr, success=False, trace=ops)
+    failed64 = dataclasses.replace(failed, trace=tuple((op, np.int64(u), np.int64(v)) for op, u, v in ops))
+    assert nh.replay(c70, f, failed64) == nh.replay(c70, f, failed) == f.edges()
+    for cyc in (tuple(np.arange(70)), tuple(range(69)) + (np.int64(69),)):
+        assert nh.replay(c70, f, dataclasses.replace(tr, hamilton_cycle=cyc)) == nh.replay(c70, f, tr)
+    # below bit 63, where a numpy row is no int for ``_bits``
+    c10 = nh.cycle(10)
+    f10 = nh.TwoFactor((tuple(range(10)),))
+    gone = dataclasses.replace(failed, trace=(("delete", np.int64(3), np.int64(4)),))
+    assert nh.replay(c10, f10, gone) == f10.edges() - {(3, 4)}
+    # and a fault is named as in the int copy
+    for g, bad in ((c70, (("delete", np.int64(68), np.int64(69)),) * 2),
+                   (c10, (("insert", np.int64(3), np.int64(5)),)),
+                   (c70, (("insert", np.int64(70), 0),))):
+        with pytest.raises(InconsistentTrace) as want:
+            nh.replay(g, nh.TwoFactor((tuple(range(g.n)),)),
+                      dataclasses.replace(failed, trace=tuple((op, int(u), int(v)) for op, u, v in bad)))
+        with pytest.raises(InconsistentTrace) as got:
+            nh.replay(g, nh.TwoFactor((tuple(range(g.n)),)), dataclasses.replace(failed, trace=bad))
+        assert str(got.value) == str(want.value)
+    wrong = dataclasses.replace(tr, hamilton_cycle=tuple(np.arange(68)) + (np.int64(69), np.int64(68)))
+    with pytest.raises(InconsistentTrace, match="recorded cycle is not a Hamilton cycle"):
+        nh.replay(c70, f, wrong)
 
 
 def _mutated(g, tr):
