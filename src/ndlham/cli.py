@@ -81,7 +81,7 @@ def _cmd_permanent(args):
     g = _load_graph(args.input)
     per = permanent.permanent_exact(permanent.adjacency_matrix_of(g))
     payload = {"permanent": str(per), "bregman_upper": permanent.bregman_bound(g.degrees).to_json_dict()}
-    if g.is_regular() and g.n >= 1:
+    if g.is_regular() and g.n >= 1 and g.degree(0) >= 1:
         d = g.degree(0)
         payload["vdw_lower"] = permanent.vdw_lower(g.n, d).to_json_dict()
         payload["regular_upper"] = permanent.regular_upper(g.n, d).to_json_dict()

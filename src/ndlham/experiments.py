@@ -15,8 +15,7 @@ LOG_SLACK = 1e-9
 
 
 def _log_binom(n, k):
-    if k < 0 or k > n:
-        return -math.inf
+    """log C(n, k) for 0 <= k <= n."""
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 

@@ -18,14 +18,13 @@ fit, mod the permanent's first prime.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidParameters, check_cap, is_int
-from .graph import _bits
+from .graph import _bits, _vertex
 from .permanent import crt_lift
 
 ENUM_CAP = 16
@@ -69,47 +68,51 @@ def _component_masks(g, f, have=None):
     from its last vertex back to its first included, fills ``have`` only if
     it is given, and records the first component with a non-edge or fewer
     than 2 vertices.  A component with a vertex that is no int in 0..n-1
-    adds its length to ``size`` but no mask, so the partition fails.  The
-    faults are named in this order: the partition, then the recorded
-    component's length, then its first non-edge from ``comp[0]`` on.  A
-    factor with numpy integer vertices is checked as its int copy, with
-    ``have`` zeroed, since its masks would wrap at their width."""
+    adds its length to ``size`` but no mask, so the walk fails.  On a fault
+    each vertex must be a vertex by ``graph._vertex``, or the partition
+    fails; a factor with numpy integer vertices is then walked again as its
+    int copy, with ``have`` zeroed.  The faults are named in this order: the
+    partition, then the recorded component's length, then its first
+    non-edge from ``comp[0]`` on."""
     rows, n, bad = g.rows, g.n, None
     out, covered, size = [], 0, 0
     for comp in f.components:
         try:
             size += len(comp)
             m, u = 0, comp[-1]
-            ubit = 1 << u
+            if type(u) is not int:
+                raise TypeError  # as any vertex that is no int, below
             for v in comp:
+                if type(v) is not int:
+                    raise TypeError
                 bit = 1 << v
                 if not rows[u] & bit and bad is None:
                     bad = comp
                 m |= bit
                 if have is not None:
                     have[u] |= bit
-                    have[v] |= ubit
-                u, ubit = v, bit
+                    have[v] |= 1 << u
+                u = v
             covered |= m
             out.append((m, comp))
-        except (IndexError, OverflowError, TypeError, ValueError):
-            # no vertex, or one that is no int in 0..n-1
+        except (IndexError, TypeError, ValueError):
+            # no vertex, one that is no int, or an int outside 0..n-1
             if bad is None:
                 bad = comp
-    if type(covered) is int and bad is None and size == n and covered == (1 << n) - 1:
+    full = (1 << n) - 1
+    if bad is None and size == n and covered == full:
         return out
+    partition = "two-factor components must partition the vertex set"
     try:
-        numpy = not all(isinstance(v, int) for comp in f.components for v in comp)
-        if numpy:  # operator.index refuses a float, a str, None and a numpy bool
-            f = TwoFactor(tuple(tuple(map(operator.index, c)) for c in f.components))
-    except TypeError:  # or a component is no sequence
-        numpy, covered = False, -1
-    if numpy:
+        ints = TwoFactor(tuple(tuple(_vertex(v, n) for v in c) for c in f.components))
+    except (InvalidParameters, TypeError):  # or a component is no sequence
+        raise InvalidParameters(partition) from None
+    if any(type(v) is not int for c in f.components for v in c):
         if have is not None:
             have[:] = [0] * n
-        return _component_masks(g, f, have)
-    if size != n or covered != (1 << n) - 1:
-        raise InvalidParameters("two-factor components must partition the vertex set")
+        return _component_masks(g, ints, have)
+    if size != n or covered != full:
+        raise InvalidParameters(partition)
     if len(bad) < 2:
         raise InvalidParameters("component shorter than 2")
     u = bad[0]

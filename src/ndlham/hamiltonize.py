@@ -13,13 +13,12 @@ vertex, so each logged operation flips one bit in each endpoint's row.
 """
 
 import math
-import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import InconsistentTrace, InvalidParameters, check_certificate, is_real
+from .errors import InconsistentTrace, InvalidParameters, check_certificate, is_int, is_real
 from .factors import _component_masks
-from .graph import _bits
+from .graph import _bits, _vertex
 
 
 @dataclass(frozen=True)
@@ -272,60 +271,21 @@ def replay(g, f, trace):
     InconsistentTrace on any discrepancy (a vertex outside 0..n-1,
     inserting a non-edge of G or an edge already present, deleting an
     absent edge, an unknown op, or a successful trace not ending at the
-    recorded Hamilton cycle).
-
-    A trace that names an integer of another type than int, such as a
-    numpy integer, is replayed again as its int copy when its own replay
-    fails: such a vertex's bit wraps at its width, and the rows it touches
-    are no ints.
+    recorded Hamilton cycle).  A vertex of an op or of the recorded cycle
+    that is no int is decided by ``graph._vertex``: a numpy integer is
+    taken as its int, and anything else is outside 0..n-1.
     """
-    try:
-        return _replay(g, f, trace)
-    except (InconsistentTrace, ArithmeticError, AttributeError):
-        ints = _int_copy(trace)
-        if ints is None:
-            raise
-    return _replay(g, f, ints)
-
-
-def _int_copy(trace):
-    """``trace`` with each vertex that is an integer but no int taken as its
-    int, or None if it has no such vertex; anything else stays as it is."""
-    found = False
-
-    def index(v):
-        nonlocal found
-        if not isinstance(v, int):
-            try:
-                v, found = operator.index(v), True
-            except TypeError:  # a float, str, None or numpy bool
-                pass
-        return v
-
-    def copy(seq):
-        try:
-            return tuple(map(index, seq))
-        except TypeError:  # no sequence
-            return seq
-
-    ops, cyc = tuple(map(copy, trace.trace)), copy(trace.hamilton_cycle)
-    return replace(trace, trace=ops, hamilton_cycle=cyc) if found else None
-
-
-def _replay(g, f, trace):
-    """``replay`` on the trace's vertices as they are."""
     n, rows = g.n, g.rows
     have = [0] * n
     _component_masks(g, f, have)
     for op, u, v in trace.trace:
-        try:  # a vertex is an integer in 0..n-1
-            ok = 0 <= u < n and 0 <= v < n
-            row, mine, bit = rows[u], have[u], 1 << v
-        except (TypeError, IndexError, ValueError):
-            ok = False
-        if not ok:
-            # in the op's order: a vertex that is no int may not compare
-            raise InconsistentTrace(f"{op} names a vertex outside 0..{n - 1}: {(u, v)}")
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            try:
+                u, v = _vertex(u, n), _vertex(v, n)
+            except InvalidParameters:
+                shown = tuple(int(w) if is_int(w) else w for w in (u, v))
+                raise InconsistentTrace(f"{op} names a vertex outside 0..{n - 1}: {shown}") from None
+        row, mine, bit = rows[u], have[u], 1 << v
         if op == "insert":
             if not row & bit:
                 raise InconsistentTrace(f"inserted non-edge {_e(u, v)}")
@@ -348,9 +308,13 @@ def _replay(g, f, trace):
     seen, same, out = 0, True, set()
     try:
         if len(cyc) == n >= 3:
-            b = cyc[-1]
-            abit, bbit = 1 << cyc[-2], 1 << b
+            a, b = cyc[-2], cyc[-1]
+            if type(a) is not int or type(b) is not int:
+                a, b = _vertex(a, n), _vertex(b, n)
+            abit, bbit = 1 << a, 1 << b
             for c in cyc:
+                if type(c) is not int:
+                    c = _vertex(c, n)
                 # a vertex >= n is in no row, a negative one fails the shift
                 cbit = 1 << c
                 if not rows[b] & cbit:
@@ -360,7 +324,7 @@ def _replay(g, f, trace):
                     same = False
                 out.add((b, c) if b < c else (c, b))
                 abit, bbit, b = bbit, cbit, c
-    except (TypeError, IndexError, ValueError):  # no sequence, or no vertex
+    except (IndexError, InvalidParameters, TypeError, ValueError):  # no sequence, or no vertex
         seen = 0
     if seen != (1 << n) - 1:
         raise InconsistentTrace("recorded cycle is not a Hamilton cycle")

@@ -58,11 +58,10 @@ def edge_count(g, s, t):
     For overlapping sets this follows the convention e(U,U) = 2*e(U):
     an edge inside the overlap is counted once per orientation.
     """
-    _mask(s, g.n)  # range validation
-    t_mask = _mask(t, g.n)
+    s_mask, t_mask = _mask(s, g.n), _mask(t, g.n)
     # sum over v in S of |N(v) ∩ T|: each cross edge once, each edge with
     # both endpoints in the overlap twice, matching e(U,U) = 2 e(U)
-    return sum((g.rows[v] & t_mask).bit_count() for v in set(s))
+    return sum((g.rows[v] & t_mask).bit_count() for v in _bits(s_mask))
 
 
 def _defects(a, cert, s, t, sa=None):
@@ -245,7 +244,7 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
 def external_neighborhood(g, x):
     xm = _mask(x, g.n)
     nm = 0
-    for v in x:
+    for v in _bits(xm):
         nm |= g.rows[v]
     nm &= ~xm
     return _bits(nm)
@@ -255,24 +254,25 @@ def expansion_check(g, cert, x):
     """Small-set expansion |N(X)| >= (d-2*lam)^2/(3*lam^2) * |X|, applicable
     only when |X| <= lam^2 * n / d^2."""
     check_certificate(g, cert, "expansion_check")
-    if not x:
-        raise InvalidParameters("expansion_check: X must be nonempty")
     lam, d, n = cert.lam, cert.d, cert.n
-    applicable = lam > 0 and len(set(x)) <= lam * lam * n / (d * d)
+    size = _mask(x, n).bit_count()
+    if not size:
+        raise InvalidParameters("expansion_check: X must be nonempty")
+    applicable = lam > 0 and size <= lam * lam * n / (d * d)
     observed = len(external_neighborhood(g, x))
-    required = (d - 2 * lam) ** 2 / (3 * lam * lam) * len(set(x)) if lam > 0 else math.inf
+    required = (d - 2 * lam) ** 2 / (3 * lam * lam) * size if lam > 0 else math.inf
     return observed, required, applicable
 
 
 def large_sets_edge(g, cert, x, y):
     """There is an edge between disjoint sets larger than lam*n/d each."""
     check_certificate(g, cert, "large_sets_edge")
-    xs, ys = set(x), set(y)
-    if xs & ys:
+    xm, ym = _mask(x, g.n), _mask(y, g.n)
+    if xm & ym:
         raise InvalidParameters("large_sets_edge: sets must be disjoint")
     threshold = cert.lam * cert.n / cert.d
-    if len(xs) <= threshold or len(ys) <= threshold:
+    if xm.bit_count() <= threshold or ym.bit_count() <= threshold:
         raise InvalidParameters(
             f"large_sets_edge: both sets must have size > {threshold:.4f}"
         )
-    return edge_count(g, sorted(xs), sorted(ys)) > 0
+    return any(g.rows[v] & ym for v in _bits(xm))

@@ -243,13 +243,14 @@ def reference_component_masks(g, f, have=None):
     the message it raises, found in the message order one check at a time:
     the sorted vertices must be 0..n-1, then each component in order must
     have at least 2 vertices, then each of its edges from ``comp[0]`` on
-    must be an edge of g.  A factor with a vertex that is no int is checked
-    as its int copy if ``operator.index`` takes every vertex."""
+    must be an edge of g.  A factor is checked as its int copy if every
+    vertex is an integer other than a bool, a numpy one included: a bool
+    would sort as 0 or 1, and ``operator.index`` refuses the rest."""
     partition = InvalidParameters("two-factor components must partition the vertex set")
-    comps = f.components
     try:
-        if not all(isinstance(v, int) for c in comps for v in c):
-            comps = tuple(tuple(operator.index(v) for v in c) for c in comps)
+        if any(isinstance(v, bool) for c in f.components for v in c):
+            raise partition
+        comps = tuple(tuple(operator.index(v) for v in c) for c in f.components)
     except TypeError:
         raise partition from None
     if sorted(v for c in comps for v in c) != list(range(g.n)):
@@ -275,10 +276,17 @@ def reference_component_masks(g, f, have=None):
 def set_replay(g, f, trace):
     """The trace audit on a set of (u, v) edge tuples that
     ``hamiltonize.replay`` replaced with bitset rows: the same checks in the
-    same order, with the same messages, and the same final edge set."""
+    same order, with the same messages, and the same final edge set.  A
+    vertex is an integer other than a bool, taken as its int."""
     nh.factors.validate_two_factor(g, f)
     edges = set(f.edges())
     for op, u, v in trace.trace:
+        try:
+            if isinstance(u, bool) or isinstance(v, bool):
+                raise TypeError
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise InconsistentTrace(f"{op} names a vertex outside 0..{g.n - 1}: {(u, v)}") from None
         key = (u, v) if u < v else (v, u)
         if key[0] < 0 or key[1] >= g.n:
             raise InconsistentTrace(f"{op} names a vertex outside 0..{g.n - 1}: {key}")

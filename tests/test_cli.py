@@ -61,6 +61,19 @@ def test_permanent_subcommand(tmp_path, capsys):
     assert json.loads(out)["permanent"] == "9"
 
 
+def test_permanent_of_a_zero_regular_graph(tmp_path, capsys):
+    # the regular bounds need d >= 1; the permanent and Bregman's bound do not
+    path = tmp_path / "e3.el"
+    path.write_text("3 0\n")
+    code, out, _ = run(capsys, ["permanent", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["permanent"] == "0"
+    assert payload["bregman_upper"]["is_zero"] is True
+    assert "vdw_lower" not in payload and "regular_upper" not in payload
+    assert run(capsys, ["report", str(path)])[0] == 2
+
+
 def test_mixing_exit_codes(tmp_path, capsys):
     path = str(tmp_path / "p.el")
     run(capsys, ["gen", "petersen", "-o", path])

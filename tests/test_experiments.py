@@ -266,3 +266,21 @@ def test_guard_raises(name):
         call()
     assert type(err.value) is kind
     assert str(err.value) == message
+
+
+def _refused(build):
+    with pytest.raises(InvalidParameters) as err:
+        build()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("run, want", [
+    (lambda: nh.hamilton_count_exact(nh.from_edges(2, [(0, 1)])), 0),
+    (lambda: _refused(lambda: nh.paley(1)),
+     "paley: q must be an integer prime congruent to 1 mod 4"),
+    (lambda: nh.theorem_trend(ns=(11,), ds=(3,)), []),
+], ids=["hamilton-n2", "paley-1", "trend-odd-nd"])
+def test_small_edge_cases(run, want):
+    # statements no other test runs: h = 0 below 3 vertices, is_prime(q < 2),
+    # and the trend's skip of an odd n*d
+    assert run() == want

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 import ndlham as nh
-from ndlham.errors import InvalidParameters, ParseError
+from ndlham.errors import InconsistentTrace, InvalidParameters, NdlError, ParseError
 
 
 def test_complete_k4():
@@ -188,3 +191,109 @@ def test_vertex_lists_take_any_order_and_numpy_integers():
     flip = pet.relabeled(np.arange(10)[::-1])
     assert flip.edge_count == 15
     assert flip.relabeled(range(9, -1, -1)).rows == pet.rows
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: nh.Graph(2, (np.int64(2), np.int64(1))), "a graph's size and adjacency rows must be ints"),
+    (lambda: nh.Graph(2, (2, True)), "a graph's size and adjacency rows must be ints"),
+    (lambda: nh.Graph(2.0, (2, 1)), "a graph's size and adjacency rows must be ints"),
+    (lambda: nh.Graph(True, (0,)), "a graph's size and adjacency rows must be ints"),
+    (lambda: nh.from_edges(2.5, []), "from_edges: n must be an integer, got 2.5"),
+    (lambda: nh.from_edges(True, []), "from_edges: n must be an integer, got True"),
+], ids=["numpy-rows", "bool-row", "float-n", "bool-n", "from-edges-float-n", "from-edges-bool-n"])
+def test_sizes_and_rows_must_be_ints(build, message):
+    # numpy rows raised AttributeError, a float size TypeError, and a bool
+    # row was kept
+    with pytest.raises(InvalidParameters) as err:
+        build()
+    assert str(err.value) == message
+    g = nh.from_edges(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and g.rows == (2, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the vertex rule: every entry point that takes vertices from a caller
+# refuses what is no vertex with its own message, and answers for numpy
+# integers as for their ints
+
+
+def _vertex_message(v, n):
+    return InvalidParameters, f"vertex {v!r} is not an integer in 0..{n - 1}"
+
+
+def _partition(v, n):
+    return InvalidParameters, "two-factor components must partition the vertex set"
+
+
+@functools.cache
+def _setting(n):
+    """The graph (K4, or C70 past bit 63), its certificate, its Hamilton
+    factor on 0..n-1 and that factor's trace."""
+    g = nh.complete(n) if n == 4 else nh.cycle(n)
+    cert = nh.certify(g)
+    f = nh.TwoFactor((tuple(range(n)),))
+    return g, cert, f, nh.two_factor_to_hamilton(g, f, cert)
+
+
+# each entry takes vs, a Hamilton cycle 0..n-1 of the graph as a list,
+# possibly with vs[1] replaced, and gives its refusal of a bad vs[1]
+VERTEX_ENTRIES = {
+    "edge_count-s": (lambda g, c, f, tr, vs: nh.edge_count(g, vs, vs[:1]), _vertex_message),
+    "edge_count-t": (lambda g, c, f, tr, vs: nh.edge_count(g, vs[:1], vs), _vertex_message),
+    "external_neighborhood": (lambda g, c, f, tr, vs: nh.mixing.external_neighborhood(g, vs[:2]),
+                              _vertex_message),
+    "expansion_check": (lambda g, c, f, tr, vs: nh.expansion_check(g, c, vs[:2]), _vertex_message),
+    "induced": (lambda g, c, f, tr, vs: g.induced(vs[:3]), _vertex_message),
+    "relabeled": (lambda g, c, f, tr, vs: g.relabeled(vs), _vertex_message),
+    "large_sets_edge": (lambda g, c, f, tr, vs: nh.large_sets_edge(g, c, vs[:2], vs[2:4]),
+                        _vertex_message),
+    "from_edges": (lambda g, c, f, tr, vs: nh.from_edges(g.n, zip(vs, vs[1:] + vs[:1])),
+                   lambda v, n: (InvalidParameters, f"edge (0,{v}) out of range for n={n}")),
+    "validate_two_factor": (lambda g, c, f, tr, vs: nh.factors.validate_two_factor(g, nh.TwoFactor((tuple(vs),))),
+                            _partition),
+    "is_hamilton_cycle": (lambda g, c, f, tr, vs: nh.factors.is_hamilton_cycle(g, vs), None),
+    "near_hamilton_distances": (
+        lambda g, c, f, tr, vs: nh.near_hamilton_distances(g, vs),
+        lambda v, n: (InvalidParameters, "near_hamilton_distances: H is not a Hamilton cycle")),
+    "two_factor_to_hamilton": (
+        lambda g, c, f, tr, vs: nh.two_factor_to_hamilton(g, nh.TwoFactor((tuple(vs),)), c),
+        _partition),
+    "replay-ops": (
+        lambda g, c, f, tr, vs: nh.replay(g, f, dataclasses.replace(
+            tr, success=False, trace=(("delete", vs[0], vs[1]), ("insert", vs[0], vs[1])))),
+        lambda v, n: (InconsistentTrace, f"delete names a vertex outside 0..{n - 1}: {(0, v)}")),
+    "replay-cycle": (
+        lambda g, c, f, tr, vs: nh.replay(g, f, dataclasses.replace(tr, hamilton_cycle=tuple(vs))),
+        lambda v, n: (InconsistentTrace, "recorded cycle is not a Hamilton cycle")),
+}
+
+
+def _answer(call):
+    """What ``call`` returns, with its repr, or the type and message of the
+    library error it raises."""
+    try:
+        out = call()
+    except NdlError as exc:
+        return type(exc), str(exc)
+    return out, repr(out)
+
+
+@pytest.mark.parametrize("entry", list(VERTEX_ENTRIES))
+def test_every_entry_point_keeps_the_vertex_rule(entry):
+    call, refusal = VERTEX_ENTRIES[entry]
+    g, cert, f, tr = _setting(4)
+    for v in (True, np.True_, 1.0, 1.5, "1", None, -1, 4):
+        vs = [0, v, 2, 3]
+        if refusal is None:  # a predicate answers False
+            assert call(g, cert, f, tr, vs) is False, v
+        else:
+            with pytest.raises(NdlError) as err:
+                call(g, cert, f, tr, vs)
+            assert (type(err.value), str(err.value)) == refusal(v, 4), v
+    # a numpy integer answers as its int, inside 0..n-1 or not, past bit 63 too
+    for n in (4, 70):
+        setting = _setting(n)
+        for second in (1, -1, n):
+            vs = [0, second, *range(2, n)]
+            want = _answer(lambda: call(*setting, vs))
+            assert _answer(lambda: call(*setting, list(map(np.int64, vs)))) == want, (n, second)

@@ -56,6 +56,15 @@ def test_vertex_sets_take_numpy_integers():
     assert nh.edge_count(nh.cycle(70), [np.int64(68)], [np.int64(69)]) == 1
 
 
+def test_expansion_check_takes_a_numpy_array():
+    # ``if not x`` raised ValueError on an array of two or more vertices
+    g = nh.petersen()
+    cert = nh.certify(g)
+    assert nh.expansion_check(g, cert, np.array([0, 1])) == nh.expansion_check(g, cert, [0, 1])
+    with pytest.raises(InvalidParameters, match="X must be nonempty"):
+        nh.expansion_check(g, cert, np.array([], dtype=int))
+
+
 def _row(n, members):
     """A one-row 0/1 membership block."""
     m = np.zeros((1, n))
