@@ -148,8 +148,12 @@ def from_edges(n, edges):
     if not is_int(n):
         raise InvalidParameters(f"from_edges: n must be an integer, got {n!r}")
     n = int(n)
+    try:
+        pairs = [(u, v) for u, v in edges]
+    except (TypeError, ValueError):  # no iterable, or an edge that is no pair
+        raise InvalidParameters("from_edges: edges must be (u, v) pairs") from None
     rows = [0] * n
-    for u, v in edges:
+    for u, v in pairs:
         try:
             u, v = _vertex(u, n), _vertex(v, n)
         except InvalidParameters:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import ndlham as nh
-from conftest import corpus, random_regular_corpus
+from conftest import complement, corpus, random_regular_corpus
 
 CORPUS = corpus()
 
@@ -30,8 +30,15 @@ def test_criterion_1_permanent_cycle_cover_identity():
         wcc = nh.factor_histogram(g).weighted_total
         per = nh.permanent_exact(nh.adjacency_matrix_of(g))
         assert wcc == per, f"{name}: {wcc} != {per}"
+    # the theorem's regime within ENUM_CAP: an 11-regular graph that meets
+    # condition 1
+    dense = complement(nh.random_regular(16, 4, 0))
+    assert nh.certify(dense).cond1_margin > 1
+    hist = nh.factor_histogram(dense)
+    assert hist.weighted_total == nh.permanent_exact(nh.adjacency_matrix_of(dense)) == 65_219_189_773
+    assert hist.counts[1] == nh.hamilton_count_exact(dense) == 4_616_336_702
     elapsed = time.time() - start
-    report(1, "per(A) = sum of 2^c(F) on full corpus", elapsed < 120,
+    report(1, "per(A) = sum of 2^c(F) on full corpus and complement(rr(16,4,0))", elapsed < 120,
            f"({elapsed:.1f}s)")
 
 

@@ -270,6 +270,38 @@ def test_histogram_consistency(corpus):
         assert hist.weighted_total >= hist.total, name
 
 
+def a002137(n):
+    """2-factors of K_n (OEIS A002137): a(n) = (n-1)(a(n-1) + a(n-2)) -
+    C(n-1,2) a(n-3), with a(0..2) = 1, 0, 1."""
+    a = [1, 0, 1]
+    for m in range(3, n + 1):
+        a.append((m - 1) * (a[-1] + a[-2]) - math.comb(m - 1, 2) * a[-3])
+    return a[n]
+
+
+def derangements(n):
+    """D_n = per(J - I) by D_n = n D_(n-1) + (-1)^n."""
+    d = 1
+    for m in range(1, n + 1):
+        d = m * d + (-1) ** m
+    return d
+
+
+def test_closed_form_values():
+    assert [a002137(n) for n in range(7)] == [1, 0, 1, 1, 6, 22, 130]
+    assert (a002137(10), a002137(12), a002137(14)) == (499_194, 60_222_844, 10_157_945_044)
+    assert [derangements(n) for n in range(7)] == [1, 0, 1, 2, 9, 44, 265]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_histogram_complete_graphs_closed_forms(n):
+    hist = nh.factor_histogram(nh.complete(n))
+    assert hist.total == a002137(n)
+    assert hist.weighted_total == derangements(n)
+    if n >= 3:
+        assert hist.counts[1] == math.factorial(n - 1) // 2
+
+
 def test_hamilton_complete_graphs():
     for n in range(4, 9):
         assert nh.hamilton_count_exact(nh.complete(n)) == math.factorial(n - 1) // 2
@@ -490,6 +522,12 @@ def test_matchings_are_half_n_factors(corpus):
 )
 def test_phi_matches_induced_histograms(g, k):
     assert phi_argmax(g, k) == induced_phi(g, k)
+
+
+def test_phi_dense_matches_induced_histograms():
+    # 7-regular, denser than every case above
+    g = complement(nh.random_regular(12, 4, 0))
+    assert phi_argmax(g, 8) == induced_phi(g, 8)
 
 
 def test_phi_examples():

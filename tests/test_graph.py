@@ -135,6 +135,10 @@ def test_edge_list_error_messages(text, message):
     (lambda: nh.Graph(3, (0, 0b001, 0)), "adjacency not symmetric at (1,0)"),
     (lambda: nh.from_edges(2, [(0, 2)]), "edge (0,2) out of range for n=2"),
     (lambda: nh.from_edges(2, [(1, 1)]), "self-loop at vertex 1"),
+    # a triple escaped as ValueError and a missing edge list as TypeError
+    (lambda: nh.from_edges(3, [(0, 1, 2)]), "from_edges: edges must be (u, v) pairs"),
+    (lambda: nh.from_edges(3, None), "from_edges: edges must be (u, v) pairs"),
+    (lambda: nh.from_edges(3, [(0, 1), 2]), "from_edges: edges must be (u, v) pairs"),
 ])
 def test_graph_error_messages(build, message):
     with pytest.raises(InvalidParameters) as err:
