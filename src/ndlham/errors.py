@@ -67,7 +67,17 @@ def check_seed(seed, what):
 
 def check_certificate(g, cert, what):
     """Raise InvalidParameters unless ``cert`` was made for a graph on as
-    many vertices as ``g``: another graph's d and lambda would silently set
-    the bounds and budgets computed for g."""
+    many vertices as ``g``, since another graph's d and lambda would
+    silently set the bounds and budgets computed for g, and unless its
+    lambda passes ``check_lambda``."""
     if cert.n != g.n:
         raise InvalidParameters(f"{what}: certificate is for n={cert.n}, graph has n={g.n}")
+    check_lambda(cert.lam, cert.d, what)
+
+
+def check_lambda(lam, d, what):
+    """Raise InvalidParameters unless lambda is a real number other than a
+    bool with 0 <= lambda <= d: a nan or infinite lambda would pass the
+    mixing check and break the merge budget's formula."""
+    if not (is_real(lam) and 0 <= lam <= d):
+        raise InvalidParameters(f"{what}: lambda must be a number with 0 <= lambda <= d={d}, got {lam!r}")

@@ -7,12 +7,13 @@ the permanent expansion (its two orientations), which is what makes the
 ``weighted_total`` of ``factor_histogram`` agree with the exact permanent.
 Two algorithms count them, and each checks the other's totals.  The
 enumerator walks the edges and canonical cycles through the lowest free
-vertex, ``_components``, and memoizes each free mask's list of covers; the
-near-Hamilton distance counts read it.  The cover table counts without
-listing: it memoizes the generating functions of G[X] for every mask X and
-merges the open paths of a cycle that reach the same state, as Held and
-Karp's DP does; the histogram, ``phi`` and the report read it.  All of them
-run up to ENUM_CAP vertices.
+vertex, memoizes each free mask's list of covers and builds a component
+only when the rest of its mask has a cover; the near-Hamilton distance
+counts read it.  The cover table counts without listing: it memoizes the
+generating functions of G[X] for every mask X and merges the open paths of
+a cycle that reach the same state, as Held and Karp's DP does; the
+histogram, ``phi`` and the report read it.  All of them run up to ENUM_CAP
+vertices.
 Hamilton cycles are counted by the Held-Karp subset DP over the live subsets
 of each popcount layer, met in the middle: the layers up to (n - 1) // 2
 are built and one join pairs each path from vertex 0 with the reversed rest
@@ -127,61 +128,19 @@ def _component_masks(g, f, have=None):
         u = v
 
 
-def _components(rows, free, visit):
-    """Call ``visit(comp, rest)`` for every component through the lowest
-    vertex v of the mask ``free``: first the edges {v, u} in ascending u,
-    then the cycles of length >= 3 in DFS order.  ``comp`` is canonical (v
-    first, second vertex below the last) and ``rest`` is ``free`` without
-    it.  A path v, p1, ... is extended only while a neighbour of v above p1
-    is still unused, since a canonical cycle can only close there, and while
-    its last vertex has a neighbour off the path.  The enumerator alone
-    walks it; the cover table counts by its own memo on open paths.
-    """
-    low = free & -free
-    v = low.bit_length() - 1
-    avail = free ^ low
-    adj = rows[v] & avail
-    x = adj
-    while x:
-        bit = x & -x
-        x ^= bit
-        visit((v, bit.bit_length() - 1), avail ^ bit)
-    path = [v]
-
-    def extend(cur, left, ends):
-        # left: vertices of avail off the path; ends: the unused vertices
-        # where the cycle may still close
-        x = rows[cur] & left
-        while x:
-            bit = x & -x
-            x ^= bit
-            w = bit.bit_length() - 1
-            path.append(w)
-            if ends & bit:
-                visit(tuple(path), left ^ bit)
-            if ends & ~bit and rows[w] & left & ~bit:
-                extend(w, left ^ bit, ends & ~bit)
-            path.pop()
-
-    x = adj
-    while x:
-        bit = x & -x
-        x ^= bit
-        if x:  # v's neighbours above the second vertex: the cycle's ends
-            w = bit.bit_length() - 1
-            path.append(w)
-            extend(w, avail ^ bit, x)
-            path.pop()
-
-
 def enumerate_two_factors(g):
     """All 2-factors of g, each exactly once, in canonical form.
 
     The covers of a free mask are its components through the lowest free
-    vertex, each followed by every cover of the rest; the lists are
-    memoized on the mask, so each mask is walked once.  The walk keeps each
-    component whose rest has a cover, with the rest's list, and one list
-    comprehension joins them, in the walk's order.  The order is
+    vertex v, each followed by every cover of the rest: first the edges
+    {v, u} in ascending u, then the cycles of length >= 3 in DFS order.  A
+    component is canonical (v first, second vertex below the last).  A path
+    v, p1, ... is extended only while a neighbour of v above p1 is still
+    unused, since a canonical cycle can only close there, and while its last
+    vertex has a neighbour off the path.  The lists are memoized on the
+    mask, so each mask is walked once, and a component's tuple is built
+    only when its rest has a cover; one list comprehension joins each kept
+    component with the rest's list, in the walk's order.  The order is
     lexicographic by the canonical encoding.
     """
     check_cap(g.n, ENUM_CAP, "enumerate_two_factors")
@@ -192,16 +151,44 @@ def enumerate_two_factors(g):
         hit = memo.get(free)
         if hit is not None:
             return hit
+        low = free & -free
+        v = low.bit_length() - 1
+        avail = free ^ low
+        adj = rows[v] & avail
         kept = []
-
-        def visit(comp, rest):
-            tails = covers(rest)
+        x = adj
+        while x:
+            bit = x & -x
+            x ^= bit
+            tails = covers(avail ^ bit)
             if tails:
-                kept.append((comp, tails))
-
-        _components(rows, free, visit)
+                kept.append(((v, bit.bit_length() - 1), tails))
+        x = adj
+        while x:
+            bit = x & -x
+            x ^= bit
+            if x:  # v's neighbours above the second vertex: the cycle's ends
+                extend([v, bit.bit_length() - 1], avail ^ bit, x, kept)
         memo[free] = out = [(comp,) + t for comp, tails in kept for t in tails]
         return out
+
+    def extend(path, left, ends, kept):
+        # left: vertices of the free mask off the path; ends: the unused
+        # vertices where the cycle may still close
+        x = rows[path[-1]] & left
+        while x:
+            bit = x & -x
+            x ^= bit
+            rest, w = left ^ bit, bit.bit_length() - 1
+            if ends & bit:
+                tails = covers(rest)
+                if tails:
+                    kept.append(((*path, w), tails))
+            more = ends & ~bit
+            if more and rows[w] & rest:
+                path.append(w)
+                extend(path, rest, more, kept)
+                path.pop()
 
     found = [TwoFactor(t) for t in covers((1 << g.n) - 1)]
     memo.clear()  # the closures form a cycle; free the memo now, not at GC
@@ -243,10 +230,12 @@ class _CoverTable:
     so each cycle is counted once, in one direction.  Paths that reach the
     same state share its memo entry, as in the Held-Karp DP, and a state's
     key packs the three into one int.  Every state with no cover shares one
-    ``(0, 0)`` pair, two thirds of the path states on rr(16,4,0).  K16
-    holds 32,768 masks and 823,298 path states, and its process peaks at
-    233 MB RSS (29 MB of it the imports) after 5 s on a 2-CPU VM;
-    complement(rr(16,4,0)) holds 865,970 path states, 239 MB in 4 s."""
+    ``(0, 0)`` pair, two thirds of the path states on rr(16,4,0).  The path
+    states peak below the densest graphs: of K16, K16 minus a perfect
+    matching and the complements of rr(16,d,0) for d = 2..6, the most are
+    complement(rr(16,2,0))'s 926,200 (13-regular), whose process peaks at
+    252 MB RSS (29 MB of it the imports) after 5.9 s on a 2-CPU VM; K16
+    holds 823,298, 233 MB in 6.4 s."""
 
     _dead = (0, 0)
 

@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InconsistentTrace, InvalidParameters, check_certificate, is_int, is_real
+from .errors import InconsistentTrace, InvalidParameters, check_certificate, check_lambda, is_int, is_real
 from .factors import _component_masks
 from .graph import _bits, _vertex
 
@@ -46,11 +46,12 @@ class RotationTrace:
 def merge_budget(n, d, lam, budget_constant):
     """Per-merge replacement budget ceil(C log n / log(d/lambda)); falls
     back to n outside the formula's domain d > lambda.  The constant C must
-    be finite and positive."""
+    be finite and positive, and lambda a number in 0..d."""
     if not is_real(budget_constant) or not 0 < budget_constant < math.inf:
         raise InvalidParameters(
             f"merge_budget: budget constant must be a number, finite and > 0, got {budget_constant!r}"
         )
+    check_lambda(lam, d, "merge_budget")
     if lam <= 0 or d <= lam:
         return n
     return max(2, math.ceil(budget_constant * math.log(n) / math.log(d / lam)))
@@ -78,16 +79,20 @@ def _rotate(rows, path, outside, inside, budget):
     it is generated but built only when it is accepted or popped.  A queue
     entry is (oriented parent, pivot index, depth, parent link), and a
     successor at the budget's depth, which would never be expanded, is not
-    queued.  A popped node is built and dropped if ``seen`` holds it;
-    otherwise it gets its link, ((pivot, pivot's old successor, end),
-    parent link), so each node stores one rotation.  This gives the result
-    of a search that looks up each successor when it is generated: the
-    first copy of a node keeps its orientation, depth, link and FIFO
-    position, and a later copy is popped only after the first was expanded,
-    so its successors were all generated, and tested, then.  A node is
-    queued only if neither endpoint sees ``outside``, so a successor, which
-    keeps the head ``seq[0]``, is extendable exactly when its new end sees
-    ``outside``.
+    queued.  The start is expanded first, before any search state exists:
+    most searches accept one of its successors, and with budget 1 none is
+    queued.  Only then do ``seen``, holding the start, and a FIFO queue of
+    the queued depth-1 entries exist, as if the start had been popped from
+    a queue of its own.  A popped node is built and dropped if
+    ``seen`` holds it; otherwise it gets its link, ((pivot, pivot's old
+    successor, end), parent link), so each node stores one rotation.  This
+    gives the result of a search that looks up each successor when it is
+    generated: the first copy of a node keeps its orientation, depth, link
+    and FIFO position, and a later copy is popped only after the first was
+    expanded, so its successors were all generated, and tested, then.  A
+    node is queued only if neither endpoint sees ``outside``, so a
+    successor, which keeps the head ``seq[0]``, is extendable exactly when
+    its new end sees ``outside``.
     """
     closable = len(path) >= 3
     a, b = path[0], path[-1]
@@ -95,19 +100,9 @@ def _rotate(rows, path, outside, inside, budget):
         return "extendable", path, []
     if closable and rows[a] >> b & 1:
         return "cycle", path, []
-    seen = set()
-    # the start: at its last index, the rotation rebuilds the path itself
-    queue = deque([(path, len(path) - 1, 0, None)])
-    while queue:
-        seq, i, depth, link = queue.popleft()
-        cur = seq[: i + 1] + seq[: i : -1]
-        size = len(seen)
-        seen.add(cur if cur[0] < cur[-1] else cur[::-1])
-        if len(seen) == size:
-            continue
-        if depth:
-            link = ((seq[i], seq[i + 1], seq[-1]), link)
-        depth += 1
+    queue, seen = [], None
+    cur, depth, link = path, 1, None
+    while True:
         grow = depth < budget
         for seq in (cur, cur[::-1]):
             head = rows[seq[0]] if closable else 0
@@ -127,7 +122,21 @@ def _rotate(rows, path, outside, inside, budget):
                         queue.append((seq, i, depth, link))
                     continue
                 return kind, seq[: i + 1] + seq[: i : -1], _unwind(((seq[i], b, end), link))
-    return "failure", path, []
+        if seen is None:  # the start is expanded; a search begins if it queued
+            if not queue:
+                return "failure", path, []
+            seen, queue = {path if path[0] < path[-1] else path[::-1]}, deque(queue)
+        while True:  # pop the next node not seen yet
+            if not queue:
+                return "failure", path, []
+            seq, i, depth, link = queue.popleft()
+            cur = seq[: i + 1] + seq[: i : -1]
+            size = len(seen)
+            seen.add(cur if cur[0] < cur[-1] else cur[::-1])
+            if len(seen) > size:
+                break
+        link = ((seq[i], seq[i + 1], seq[-1]), link)
+        depth += 1
 
 
 def _unwind(link):
@@ -165,36 +174,23 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
     comps = _component_masks(g, f)
     n, rows = g.n, g.rows
     budget = merge_budget(n, cert.d, cert.lam, budget_constant)
-    trace, per_merge, start = [], [], 0
-
-    def end(cycle=(), failure_reason=""):
-        """The trace so far, ending at ``cycle`` or failing for the reason."""
-        return RotationTrace(
-            success=not failure_reason,
-            hamilton_cycle=tuple(cycle),
-            replacements=len(trace),
-            per_merge_replacements=tuple(per_merge),
-            budget=budget,
-            trace=tuple(trace),
-            failure_reason=failure_reason,
-        )
-
     if len(comps) == 1 and n >= 3:  # already a Hamilton cycle
-        per_merge.append(0)
-        return end(comps[0][1])
+        return RotationTrace(True, tuple(comps[0][1]), 0, (0,), budget, ())
+    trace, per_merge, start = [], [], 0
 
     # a validated 2-factor partitions V: the unabsorbed vertices ``rest``
     # are exactly the vertices off the path, and each pending component
     # carries its mask; components are taken in the order of their lowest
     # vertex
     full = (1 << n) - 1
-    first, *pending = sorted(comps, key=lambda mc: mc[0] & -mc[0])
+    comps.sort(key=_lowest_bit)
+    first, *pending = comps
     rest = full & ~first[0]
     path = first[1]
     if len(path) > 2:  # a 2-cycle is its own path
         hooked = [v for v in path if rows[v] & rest]
         if not hooked:
-            return end(failure_reason="initial component has no external neighbor")
+            return _failed(budget, trace, per_merge, "initial component has no external neighbor")
         path = _open_cycle_at(trace, path, min(hooked))
 
     while rest:
@@ -205,7 +201,7 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
             room = max(1, (budget - (len(trace) - start) - 2) // 2)
             kind, path, rots = _rotate(rows, path, rest, full & ~rest, room)
             if kind == "failure":
-                return end(failure_reason="no rotation reaches an absorbing or closing edge")
+                return _failed(budget, trace, per_merge, "no rotation reaches an absorbing or closing edge")
             for rot in rots:
                 trace += rot
             if kind == "cycle":
@@ -213,7 +209,7 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
                 trace.append(("insert", *_e(path[0], path[-1])))
                 hooked = [v for v in path if rows[v] & rest]
                 if not hooked:
-                    return end(failure_reason="closed cycle has no edge to remaining components")
+                    return _failed(budget, trace, per_merge, "closed cycle has no edge to remaining components")
                 path = _open_cycle_at(trace, path, min(hooked))
             tail, head = rows[path[-1]] & rest, rows[path[0]] & rest
         if not tail or (head and (head & -head) < (tail & -tail)):
@@ -230,7 +226,7 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
         else:
             path += _open_cycle_at(trace, comp, u)[::-1]
         if len(trace) - start > budget:
-            return end(failure_reason="per-merge budget exhausted")
+            return _failed(budget, trace, per_merge, "per-merge budget exhausted")
         per_merge.append(len(trace) - start)
         start = len(trace)
 
@@ -238,14 +234,25 @@ def two_factor_to_hamilton(g, f, cert, budget_constant=10.0):
     if len(path) < 3 or not rows[path[0]] >> path[-1] & 1:
         kind, path, rots = _rotate(rows, path, 0, full, max(1, (budget - 2) // 2))
         if kind != "cycle":
-            return end(failure_reason="spanning path cannot be closed")
+            return _failed(budget, trace, per_merge, "spanning path cannot be closed")
         for rot in rots:
             trace += rot
     trace.append(("insert", *_e(path[0], path[-1])))
     if len(trace) - start > budget:
-        return end(failure_reason="per-merge budget exhausted during closure")
+        return _failed(budget, trace, per_merge, "per-merge budget exhausted during closure")
     per_merge.append(len(trace) - start)
-    return end(path)
+    return RotationTrace(True, tuple(path), len(trace), tuple(per_merge), budget, tuple(trace))
+
+
+def _lowest_bit(component):
+    """The sort key of a (mask, vertices) component: its lowest vertex's bit."""
+    mask = component[0]
+    return mask & -mask
+
+
+def _failed(budget, trace, per_merge, reason):
+    """The failed RotationTrace of a conversion, its operations so far."""
+    return RotationTrace(False, (), len(trace), tuple(per_merge), budget, tuple(trace), reason)
 
 
 def _open_cycle_at(trace, cyc, v):

@@ -194,14 +194,17 @@ def test_traces_pinned_under_small_budgets(budget_constant, digest):
 def test_rotate_matches_eager_reference(monkeypatch):
     # every search the engine makes while converting all 2-factors of
     # rr(12,4,0..2), under a budget that rarely binds and two that often do,
-    # gives the reference's (kind, path, rotations)
+    # and of rr(16,4,0), the factor-sweep benchmark graph, at C = 10, gives
+    # the reference's (kind, path, rotations)
     calls = collections.Counter()
     lazy = nh.hamiltonize._rotate
+    searches = []
 
     def both(rows, path, outside, inside, budget):
         got = lazy(rows, path, outside, inside, budget)
         assert got == eager_rotate(rows, path, outside, inside, budget), (path, budget)
         calls[got[0]] += 1
+        searches.append((rows, path, outside, inside))
         return got
 
     monkeypatch.setattr(nh.hamiltonize, "_rotate", both)
@@ -211,6 +214,10 @@ def test_rotate_matches_eager_reference(monkeypatch):
             cert = nh.certify(g)
             for f in nh.enumerate_two_factors(g):
                 nh.two_factor_to_hamilton(g, f, cert, budget_constant)
+    g = nh.random_regular(16, 4, 0)
+    cert = nh.certify(g)
+    for f in nh.enumerate_two_factors(g):
+        nh.two_factor_to_hamilton(g, f, cert, 10.0)
     assert set(calls) == {"extendable", "cycle", "failure"}
     # the Petersen spanning path never closes: the search runs out of
     # budget at every depth
@@ -220,6 +227,15 @@ def test_rotate_matches_eager_reference(monkeypatch):
         got = rotate(pet, hp, budget)
         assert got[0] == "failure"
         assert got == eager_rotate(pet.rows, hp, 0, (1 << 10) - 1, budget)
+    # each search again at budget 1: the start's successors are tested, none
+    # is queued, and the search ends before it builds a queue
+    monkeypatch.setattr(nh.hamiltonize, "deque", None)
+    calls.clear()
+    for rows, path, outside, inside in searches:
+        got = lazy(rows, path, outside, inside, 1)
+        assert got == eager_rotate(rows, path, outside, inside, 1), path
+        calls[got[0]] += 1
+    assert set(calls) == {"extendable", "cycle", "failure"}
 
 
 def test_budget_formula():

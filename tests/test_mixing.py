@@ -366,6 +366,36 @@ def test_certificate_of_another_graph_rejected():
         nh.two_factor_to_hamilton(g16, f, cert)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 5.0, "x", True])
+def test_malformed_lambda_rejected(lam):
+    # nan and inf passed the mixing check with 0 violations, and nan, "x"
+    # escaped the merge budget as bare ValueError and TypeError; d = 4 here
+    g = nh.random_regular(12, 4, 0)
+    bad = dataclasses.replace(nh.certify(g), lam=lam)
+    f = nh.enumerate_two_factors(g)[0]
+    msg = "lambda must be a number with 0 <= lambda <= d=4"
+    with pytest.raises(InvalidParameters, match=f"verify_mixing: {msg}"):
+        nh.verify_mixing(g, bad, sample_count=10, seed=0)
+    with pytest.raises(InvalidParameters, match=f"expansion_check: {msg}"):
+        nh.expansion_check(g, bad, [0])
+    with pytest.raises(InvalidParameters, match=f"large_sets_edge: {msg}"):
+        nh.large_sets_edge(g, bad, list(range(6)), list(range(6, 12)))
+    with pytest.raises(InvalidParameters, match=f"two_factor_to_hamilton: {msg}"):
+        nh.two_factor_to_hamilton(g, f, bad)
+    with pytest.raises(InvalidParameters, match=f"merge_budget: {msg}"):
+        nh.hamiltonize.merge_budget(12, 4, lam, 10.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 4.0, 4])
+def test_lambda_bounds_accepted(lam):
+    # both ends of 0 <= lambda <= d, where the budget falls back to n
+    g = nh.random_regular(12, 4, 0)
+    cert = dataclasses.replace(nh.certify(g), lam=lam)
+    nh.verify_mixing(g, cert, sample_count=10, seed=0)
+    assert nh.two_factor_to_hamilton(g, nh.enumerate_two_factors(g)[0], cert).budget == 12
+    assert nh.hamiltonize.merge_budget(12, 4, lam, 10.0) == 12
+
+
 def test_report_json():
     g = nh.petersen()
     rep = nh.verify_mixing(g, nh.certify(g), sample_count=10, seed=1)
