@@ -27,9 +27,6 @@ from .graph import (
 from .spectral import NdlCertificate, certify, spectrum
 from .mixing import (
     MixingReport,
-    edge_count,
-    expansion_check,
-    large_sets_edge,
     verify_mixing,
 )
 from .permanent import (
@@ -48,7 +45,6 @@ from .factors import (
     enumerate_two_factors,
     factor_histogram,
     hamilton_count_exact,
-    near_hamilton_distances,
     perfect_matching_count,
     phi,
 )
@@ -60,7 +56,6 @@ from .experiments import (
     janson_expectation_gnm,
     janson_expectation_gnp,
     monte_carlo_gnp,
-    phi_estimate_report,
     tail_diagnostics,
     theorem_trend,
 )

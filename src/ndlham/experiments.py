@@ -5,14 +5,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import factors, mixing, permanent, spectral
+from . import factors, permanent, spectral
 from .errors import (
     GenerationTimeout, InvalidParameters, NotRegular, check_cap, check_seed, is_int, is_real,
 )
 from .graph import from_edges, random_regular
-
-LOG_SLACK = 1e-9
-
 
 def _log_binom(n, k):
     """log C(n, k) for 0 <= k <= n."""
@@ -160,59 +157,6 @@ def tail_diagnostics(g):
         tail_empty=tail_w == 0,
         tail_over_de_power=tail_w / de_power,
     )
-
-
-def phi_estimate_report(g, t):
-    """Exact check of the induced-subgraph permanent chain for a worst-case
-    removed set of size t: edge counts inside the removed set, the induced
-    average degree, and the exact induced permanent against its bounds."""
-    if not g.is_regular():
-        raise NotRegular("phi_estimate_report: graph is not regular")
-    if not is_int(t) or not 1 <= t <= g.n - 2:
-        raise InvalidParameters("phi_estimate_report: integer t with 1 <= t <= n-2 required")
-    cert = spectral.certify(g)
-    n, d, lam = g.n, cert.d, cert.lam
-    k = n - t
-    best, best_kept = factors.phi_argmax(g, k)
-    kept = set(best_kept)
-    removed = sorted(set(range(n)) - kept)
-    sub = g.induced(sorted(kept))
-    e_v0 = mixing.edge_count(g, removed, removed) // 2  # e(U,U) = 2 e(U)
-    e_v0_bound = t * t / 2.0 * d / n + lam * t
-    e_cross = mixing.edge_count(g, removed, kept)
-    e_cross_lower = d * t - d * t * t / n - 2 * lam * t
-    d1 = d * (1 - t / n) + 2 * lam * t / (n - t)
-    per_a1 = permanent.permanent_exact(permanent.adjacency_matrix_of(sub))
-    log_per = math.log(per_a1) if per_a1 > 0 else -math.inf
-    bregman_rows = permanent.bregman_bound(sub.degrees)
-    d1_bound = None
-    if math.floor(d1) >= 1:
-        d1_bound = (k / math.floor(d1)) * math.lgamma(math.ceil(d1) + 1)
-    ok = {
-        "e_v0_le_bound": e_v0 <= e_v0_bound + LOG_SLACK,
-        "e_cross_ge_lower": e_cross >= e_cross_lower - LOG_SLACK,
-        "phi_le_per_a1": best <= per_a1,
-        "per_a1_le_bregman_rows": (
-            log_per <= bregman_rows.value + LOG_SLACK or bregman_rows.is_zero and per_a1 == 0
-        ),
-    }
-    if d1_bound is not None:
-        ok["per_a1_le_d1_bound"] = log_per <= d1_bound + LOG_SLACK
-    return {
-        "t": t,
-        "removed": removed,
-        "phi": str(best),
-        "e_v0": e_v0,
-        "e_v0_bound": e_v0_bound,
-        "e_cross": e_cross,
-        "e_cross_lower": e_cross_lower,
-        "d1": d1,
-        "per_a1": str(per_a1),
-        "log_per_a1": log_per,
-        "bregman_rows": bregman_rows.to_json_dict(),
-        "d1_bound": d1_bound,
-        "ok": ok,
-    }
 
 
 # ---------------------------------------------------------------------------

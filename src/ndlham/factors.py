@@ -8,8 +8,8 @@ the permanent expansion (its two orientations), which is what makes the
 Two algorithms count them, and each checks the other's totals.  The
 enumerator walks the edges and canonical cycles through the lowest free
 vertex, memoizes each free mask's list of covers and builds a component
-only when the rest of its mask has a cover; the near-Hamilton distance
-counts read it.  The cover table counts without listing: it memoizes the
+only when the rest of its mask has a cover; ``hamiltonize`` draws its
+2-factor from it.  The cover table counts without listing: it memoizes the
 generating functions of G[X] for every mask X and merges the open paths of
 a cycle that reach the same state, as Held and Karp's DP does; the
 histogram, ``phi`` and the report read it.  All of them run up to ENUM_CAP
@@ -449,16 +449,6 @@ def _hamilton_dp(g, p=None):
     return two_h % (p or 1 << 64)
 
 
-def is_hamilton_cycle(g, seq):
-    """Whether ``seq`` lists a Hamilton cycle of g: it is the one component
-    of a 2-factor of g and has at least 3 vertices."""
-    try:
-        _component_masks(g, TwoFactor((seq,)))
-    except InvalidParameters:
-        return False
-    return len(seq) >= 3
-
-
 # ---------------------------------------------------------------------------
 # perfect matchings
 
@@ -492,34 +482,13 @@ def perfect_matching_count(g):
 
 
 def phi(g, k):
-    """Maximum 2-factor count over all induced k-vertex subgraphs, n <= ENUM_CAP."""
-    return phi_argmax(g, k)[0]
-
-
-def phi_argmax(g, k):
-    """(max f(G[V0]), the first maximizing V0) over the k-subsets in
-    ``combinations`` order, each read from one shared cover table."""
+    """Maximum 2-factor count over all induced k-vertex subgraphs, each read
+    from one shared cover table, n <= ENUM_CAP."""
     if not is_int(k) or not 2 <= k <= g.n:
         raise InvalidParameters("phi: integer k with 2 <= k <= n required")
     check_cap(g.n, ENUM_CAP, "phi")
     table = _CoverTable(g)
-    best, best_set = -1, None
-    for subset in combinations(range(g.n), k):
-        count, _ = table.covers(sum(1 << v for v in subset))
-        val = sum(table.slots(count, k))
-        if val > best:
-            best, best_set = val, subset
-    return best, best_set
-
-
-def near_hamilton_distances(g, cycle):
-    """Entry j of the n + 1 counts is the number of 2-factors F with
-    |E(H) \\ E(F)| = j for the Hamilton cycle H listed by ``cycle``, from one
-    enumeration, n <= ENUM_CAP.  Entry 1 is 0: an F with n - 1 edges of H is H."""
-    check_cap(g.n, ENUM_CAP, "near_hamilton_distances")
-    if not is_hamilton_cycle(g, cycle):
-        raise InvalidParameters("near_hamilton_distances: H is not a Hamilton cycle")
-    h_edges, counts = TwoFactor((cycle,)).edges(), [0] * (g.n + 1)
-    for f in enumerate_two_factors(g):
-        counts[len(h_edges - f.edges())] += 1
-    return counts
+    return max(
+        sum(table.slots(table.covers(sum(1 << v for v in subset))[0], k))
+        for subset in combinations(range(g.n), k)
+    )

@@ -66,30 +66,6 @@ class Graph:
     def adjacency_matrix(self):
         return _unpack(self.rows, self.n).astype(np.float64)
 
-    def induced(self, vertices):
-        """Induced subgraph on ``vertices``, distinct integers in 0..n-1,
-        relabeled 0..k-1 in sorted order."""
-        vertices = list(vertices)
-        mask = _mask(vertices, self.n)
-        if mask.bit_count() != len(vertices):
-            raise InvalidParameters("induced: repeated vertex")
-        index = {v: i for i, v in enumerate(_bits(mask))}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in index and v in index
-        ]
-        return from_edges(len(index), edges)
-
-    def relabeled(self, perm):
-        """Image under the vertex relabeling i -> perm[i], for a permutation
-        ``perm`` of 0..n-1."""
-        perm = list(perm)
-        if len(perm) != self.n or _mask(perm, self.n) != (1 << self.n) - 1:
-            raise InvalidParameters(f"relabeled: perm must be a permutation of 0..{self.n - 1}")
-        perm = [_vertex(v, self.n) for v in perm]
-        return from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
-
 
 def _unpack(rows, n):
     """The n x n uint8 0/1 matrix whose row i holds the bits of the n-bit
@@ -133,14 +109,6 @@ def _vertex(v, n):
     if type(v) is not int or not 0 <= v < n:
         raise InvalidParameters(f"vertex {v!r} is not an integer in 0..{n - 1}")
     return v
-
-
-def _mask(vertices, n):
-    """Bitset of ``vertices``, each a vertex by ``_vertex``."""
-    m = 0
-    for v in vertices:
-        m |= 1 << _vertex(v, n)
-    return m
 
 
 def from_edges(n, edges):

@@ -1,6 +1,6 @@
-"""Edge-distribution checks: the expander mixing inequality and the two
-derived facts (small-set vertex expansion, guaranteed edge between large
-disjoint sets).
+"""Edge-distribution check: the expander mixing inequality, sampled over
+pairs of vertex sets.  Its two corollaries (small-set vertex expansion, an
+edge between large disjoint sets) are checked in the tests.
 
 The mixing check runs on 0/1 membership blocks: row i of the k x n arrays
 S and T marks the i-th pair's sets, and one kernel computes, per row,
@@ -36,7 +36,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import InvalidParameters, check_certificate, check_seed, is_int
-from .graph import _bits, _mask, _unpack
+from .graph import _unpack
 
 DEFECT_TOL = 1e-9
 _BLOCK = 256  # pairs per kernel call: a block's few 256 x n arrays (see _widths) stay in cache
@@ -50,18 +50,6 @@ def _widths(n):
     if n * n < 1 << 24:
         return np.uint16, np.float32
     return np.uint32, np.float64
-
-
-def edge_count(g, s, t):
-    """Number of edges with one endpoint in s and the other in t.
-
-    For overlapping sets this follows the convention e(U,U) = 2*e(U):
-    an edge inside the overlap is counted once per orientation.
-    """
-    s_mask, t_mask = _mask(s, g.n), _mask(t, g.n)
-    # sum over v in S of |N(v) ∩ T|: each cross edge once, each edge with
-    # both endpoints in the overlap twice, matching e(U,U) = 2 e(U)
-    return sum((g.rows[v] & t_mask).bit_count() for v in _bits(s_mask))
 
 
 def _defects(a, cert, s, t, sa=None):
@@ -239,40 +227,3 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
         worst_pair=worst_pair,
         violations=violations,
     )
-
-
-def external_neighborhood(g, x):
-    xm = _mask(x, g.n)
-    nm = 0
-    for v in _bits(xm):
-        nm |= g.rows[v]
-    nm &= ~xm
-    return _bits(nm)
-
-
-def expansion_check(g, cert, x):
-    """Small-set expansion |N(X)| >= (d-2*lam)^2/(3*lam^2) * |X|, applicable
-    only when |X| <= lam^2 * n / d^2."""
-    check_certificate(g, cert, "expansion_check")
-    lam, d, n = cert.lam, cert.d, cert.n
-    size = _mask(x, n).bit_count()
-    if not size:
-        raise InvalidParameters("expansion_check: X must be nonempty")
-    applicable = lam > 0 and size <= lam * lam * n / (d * d)
-    observed = len(external_neighborhood(g, x))
-    required = (d - 2 * lam) ** 2 / (3 * lam * lam) * size if lam > 0 else math.inf
-    return observed, required, applicable
-
-
-def large_sets_edge(g, cert, x, y):
-    """There is an edge between disjoint sets larger than lam*n/d each."""
-    check_certificate(g, cert, "large_sets_edge")
-    xm, ym = _mask(x, g.n), _mask(y, g.n)
-    if xm & ym:
-        raise InvalidParameters("large_sets_edge: sets must be disjoint")
-    threshold = cert.lam * cert.n / cert.d
-    if xm.bit_count() <= threshold or ym.bit_count() <= threshold:
-        raise InvalidParameters(
-            f"large_sets_edge: both sets must have size > {threshold:.4f}"
-        )
-    return any(g.rows[v] & ym for v in _bits(xm))

@@ -164,12 +164,45 @@ def brute_two_factors(g):
     return out
 
 
+def induced(g, vertices):
+    """G[vertices], relabeled 0..k-1 in sorted order."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return nh.from_edges(
+        len(index), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    )
+
+
+def relabeled(g, perm):
+    """The image of g under the vertex relabeling i -> perm[i]."""
+    return nh.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_hamilton_cycle(g, seq):
+    """Whether ``seq`` lists every vertex of g once, n >= 3, each adjacent
+    to the next and the last to the first."""
+    return (
+        len(seq) >= 3
+        and sorted(seq) == list(range(g.n))
+        and all(g.has_edge(seq[i - 1], seq[i]) for i in range(len(seq)))
+    )
+
+
+def near_hamilton_distances(g, cycle):
+    """Entry j of the n + 1 counts is the number of 2-factors F of g with
+    |E(H) \\ E(F)| = j for the Hamilton cycle H listed by ``cycle``, from
+    one enumeration, by edge sets."""
+    h_edges, counts = nh.TwoFactor((tuple(cycle),)).edges(), [0] * (g.n + 1)
+    for f in nh.enumerate_two_factors(g):
+        counts[len(h_edges - f.edges())] += 1
+    return counts
+
+
 def induced_phi(g, k):
     """(max f(G[S]), the first maximizing S) over the k-subsets S in
     ``combinations`` order, from a fresh histogram of each induced graph."""
     best, best_set = -1, None
     for subset in itertools.combinations(range(g.n), k):
-        val = nh.factor_histogram(g.induced(subset)).total
+        val = nh.factor_histogram(induced(g, subset)).total
         if val > best:
             best, best_set = val, subset
     return best, best_set
@@ -304,7 +337,7 @@ def set_replay(g, f, trace):
             raise InconsistentTrace(f"unknown op {op!r}")
     if trace.success:
         cyc = trace.hamilton_cycle
-        if not nh.factors.is_hamilton_cycle(g, list(cyc)):
+        if not is_hamilton_cycle(g, cyc):
             raise InconsistentTrace("recorded cycle is not a Hamilton cycle")
         want = {tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))}
         if edges != want:

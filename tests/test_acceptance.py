@@ -11,7 +11,7 @@ import time
 import pytest
 
 import ndlham as nh
-from conftest import complement, corpus, random_regular_corpus
+from conftest import complement, corpus, near_hamilton_distances, random_regular_corpus
 
 CORPUS = corpus()
 
@@ -137,19 +137,30 @@ def test_criterion_7_rotation_engine():
 def test_criterion_8_neighborhood_bound():
     graphs = [nh.complete(n) for n in (4, 5, 6)]
     graphs += [nh.random_regular(12, 4, 0), nh.random_regular(16, 4, 0)]
+    cycles_checked = 0
     for g in graphs:
         n, d = g.n, g.degree(0)
-        cycles = [f.components[0] for f in nh.enumerate_two_factors(g) if f.num_components == 1]
+        bounds = [math.comb(n, k) * d ** (2 * k) for k in range(n + 1)]
+        # one enumeration per graph: each 2-factor as a bitset over the
+        # numbered edges, so |E(H) \ E(F)| = n - popcount(F & H) for every H
+        bit = {e: 1 << i for i, e in enumerate(g.edges())}
+        two_factors = nh.enumerate_two_factors(g)
+        masks = [sum(bit[e] for e in f.edges()) for f in two_factors]
+        cycles = [(f.components[0], m) for f, m in zip(two_factors, masks) if f.num_components == 1]
         assert cycles
-        # every Hamilton cycle up to n = 12, and four spread over rr(16,4,0)'s
-        # 650; one enumeration each
-        for h in cycles if n <= 12 else cycles[:: len(cycles) // 3]:
+        for i, (h, h_mask) in enumerate(cycles):
+            counts = [0] * (n + 1)
+            for m in masks:
+                counts[n - (m & h_mask).bit_count()] += 1
+            if i == 0:  # the bitsets against the edge-set count
+                assert counts == near_hamilton_distances(g, h), n
             count = 0
-            for k, at_k in enumerate(nh.near_hamilton_distances(g, h)):
+            for k, at_k in enumerate(counts):
                 count += at_k
-                assert count <= math.comb(n, k) * d ** (2 * k), (n, k, count)
+                assert count <= bounds[k], (n, k, count)
+        cycles_checked += len(cycles)
     report(8, "2-factors near H bounded by binom(n,k) d^(2k) on K4..K6, rr(12,4,0)"
-           " and rr(16,4,0), every k", True)
+           " and rr(16,4,0), every H, every k", True, f"({cycles_checked} Hamilton cycles)")
 
 
 def test_criterion_9_matching_corollary():

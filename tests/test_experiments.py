@@ -5,6 +5,9 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters, NotRegular, TooLarge
+from conftest import induced, induced_phi, set_bits
+
+SLACK = 1e-9  # float slack on each log-domain or lambda inequality
 
 
 def test_bounds_report_k4():
@@ -90,18 +93,49 @@ def test_tail_partition_identity(corpus):
         assert diag.tail_weight >= 0, name
 
 
+def removed_set_chain(g, t):
+    """The induced-permanent chain for a worst removed set U of t vertices:
+    V0 = V \\ U is the first (n - t)-subset with the most 2-factors.  The
+    edges inside U and from U to V0 are counted on the bitset rows, and
+    each inequality of the chain is given by name in ``ok``."""
+    cert = nh.certify(g)
+    n, d, lam, k = g.n, cert.d, cert.lam, g.n - t
+    best, kept = induced_phi(g, k)
+    inside = sum(1 << v for v in kept)
+    removed = ((1 << n) - 1) ^ inside
+    e_v0 = sum((g.rows[v] & removed).bit_count() for v in set_bits(removed)) // 2
+    e_v0_bound = t * t / 2.0 * d / n + lam * t
+    e_cross = sum((g.rows[v] & inside).bit_count() for v in set_bits(removed))
+    sub = induced(g, kept)
+    per_a1 = nh.permanent_exact(nh.adjacency_matrix_of(sub))
+    log_per = math.log(per_a1) if per_a1 else -math.inf
+    bregman = nh.bregman_bound(sub.degrees)
+    d1 = d * (1 - t / n) + 2 * lam * t / (n - t)
+    ok = {
+        "e_v0_le_bound": e_v0 <= e_v0_bound + SLACK,
+        "e_cross_ge_lower": e_cross >= d * t - d * t * t / n - 2 * lam * t - SLACK,
+        "phi_le_per_a1": best <= per_a1,
+        "per_a1_le_bregman_rows": log_per <= bregman.value + SLACK or bregman.is_zero and per_a1 == 0,
+    }
+    if math.floor(d1) >= 1:
+        d1_bound = k / math.floor(d1) * math.lgamma(math.ceil(d1) + 1)
+        ok["per_a1_le_d1_bound"] = log_per <= d1_bound + SLACK
+    return {"removed": set_bits(removed), "phi": best, "e_v0": e_v0, "e_v0_bound": e_v0_bound,
+            "e_cross": e_cross, "d1": d1, "per_a1": per_a1, "ok": ok}
+
+
 def test_phi_estimate_k4():
-    rep = nh.phi_estimate_report(nh.complete(4), 1)
+    rep = removed_set_chain(nh.complete(4), 1)
     assert rep["e_v0"] == 0
     assert rep["e_v0_bound"] == pytest.approx(0.5 * 0.75 + 1.0)
     assert rep["d1"] == pytest.approx(3 * 0.75 + 2 / 3, rel=1e-9)
-    assert rep["per_a1"] == "2"
+    assert rep["per_a1"] == 2
     assert all(rep["ok"].values())
 
 
 def test_phi_estimate_base_case():
-    rep = nh.phi_estimate_report(nh.complete(4), 2)
-    assert int(rep["per_a1"]) == 1  # single edge
+    rep = removed_set_chain(nh.complete(4), 2)
+    assert rep["per_a1"] == 1  # single edge
     assert all(rep["ok"].values())
 
 
@@ -112,8 +146,9 @@ def test_phi_estimate_corpus(corpus):
         for t in (1, 2):
             if t > g.n - 2:
                 continue
-            rep = nh.phi_estimate_report(g, t)
+            rep = removed_set_chain(g, t)
             assert all(rep["ok"].values()), (name, t, rep["ok"])
+            assert rep["phi"] == nh.phi(g, g.n - t), (name, t)
             removed = set(rep["removed"])
             inside = [(u, v) for u, v in g.edges() if u in removed and v in removed]
             cross = [(u, v) for u, v in g.edges() if (u in removed) != (v in removed)]
@@ -189,7 +224,6 @@ def test_negative_seed_rejected():
 INTEGER_ARGUMENTS = {
     "monte_carlo_gnp": lambda x: nh.monte_carlo_gnp(6, 0.5, x),
     "phi": lambda x: nh.phi(nh.complete(4), x),
-    "phi_argmax": lambda x: nh.factors.phi_argmax(nh.complete(4), x),
 }
 
 
@@ -210,7 +244,6 @@ NUMBER_ARGUMENTS = {
     "monte_carlo_gnp n": (lambda: nh.monte_carlo_gnp(6.5, 0.5, 2), "integer n"),
     "theorem_trend ns": (lambda: nh.theorem_trend(ns=(10.0,)), "integer n and d"),
     "theorem_trend ds": (lambda: nh.theorem_trend(ns=(10,), ds=(True,)), "integer n and d"),
-    "phi_estimate_report t": (lambda: nh.experiments.phi_estimate_report(nh.petersen(), 2.0), "integer t"),
     "complete": (lambda: nh.complete(4.0), "integer n"),
     "cycle": (lambda: nh.cycle(5.0), "integer n"),
     "paley": (lambda: nh.paley(13.0), "integer prime"),
@@ -250,12 +283,8 @@ GUARDS = {
                       InvalidParameters, "regular_upper: d >= 1 required"),
     "alon_friedland_upper": (lambda: nh.alon_friedland_upper(4, 0),
                              InvalidParameters, "alon_friedland_upper: d >= 1 required"),
-    "expansion_check": (lambda: nh.expansion_check(nh.petersen(), nh.certify(nh.petersen()), []),
-                        InvalidParameters, "expansion_check: X must be nonempty"),
     "tail_diagnostics": (lambda: nh.tail_diagnostics(_IRREGULAR),
                          NotRegular, "tail_diagnostics: graph is not regular"),
-    "phi_estimate_report": (lambda: nh.phi_estimate_report(_IRREGULAR, 3),
-                            NotRegular, "phi_estimate_report: graph is not regular"),
 }
 
 

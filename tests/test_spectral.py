@@ -7,7 +7,7 @@ import pytest
 import ndlham as nh
 from ndlham.errors import InvalidParameters, NotRegular
 from ndlham.hamiltonize import merge_budget
-from conftest import jacobi_eigenvalues
+from conftest import jacobi_eigenvalues, relabeled
 
 
 def test_k4_spectrum():
@@ -148,7 +148,7 @@ def test_relabel_invariance():
     for _ in range(3):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert nh.spectrum(g.relabeled(perm)) == pytest.approx(base, abs=1e-8)
+        assert nh.spectrum(relabeled(g, perm)) == pytest.approx(base, abs=1e-8)
 
 
 def test_certificate_json_keys():
