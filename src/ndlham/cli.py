@@ -7,12 +7,17 @@ its function reads.  ``--epsilon`` (the constant of condition 1) is taken
 by ``certify`` alone; ``--format csv`` is offered by ``certify``, ``count``
 and ``report``, the subcommands that build CSV rows.
 
+``main`` builds the parser once per process, at its first call rather than
+at import (importing this module builds nothing), and parses every later
+argv with it; ``build_parser`` still returns a fresh parser.
+
 Exit codes: 0 on success (including reported failures like an
 unhamiltonizable input), 1 when a mathematical invariant is violated, 2 on
 usage errors.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -256,9 +261,11 @@ def build_parser():
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except NdlError as exc:

@@ -406,7 +406,7 @@ def _hamilton_dp(g, p=None):
             if not preds[u]:
                 continue
             bit = 1 << (u - 1)
-            src = np.flatnonzero((masks & bit) == 0)
+            src = ((masks & bit) == 0).nonzero()[0]
             if dense[u]:
                 acc = total[src]
                 for v in nonpreds[u]:
@@ -432,7 +432,7 @@ def _hamilton_dp(g, p=None):
                     prod %= p
                 two_h += int(prod.sum())
                 continue
-            keep = np.flatnonzero(acc)
+            keep = acc.nonzero()[0]
             to = masks[src[keep]] | bit
             live[to] = True
             steps.append((u - 1, to, acc[keep]))
@@ -469,8 +469,11 @@ def perfect_matching_count(g):
         v = (free & -free).bit_length() - 1
         rest = free ^ (1 << v)
         total = 0
-        for u in _bits(rows[v] & rest):
-            total += count(rest ^ (1 << u))
+        x = rows[v] & rest
+        while x:
+            low = x & -x
+            x ^= low
+            total += count(rest ^ low)
         memo[free] = total
         return total
 

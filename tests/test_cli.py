@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -386,3 +387,50 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(ln)[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {ln}")
+
+
+def test_main_repeats_identically_in_one_process(tmp_path, capsys):
+    # one process, one parser: every repeat, run in reverse order, prints and
+    # exits exactly as its first run did
+    path = str(tmp_path / "p.el")
+    run(capsys, ["gen", "petersen", "-o", path])
+    irregular = tmp_path / "irregular.el"
+    irregular.write_text("3 2\n0 1\n1 2\n")
+    argvs = [
+        ["report", path],
+        ["count", "factors", path, "--format", "csv"],
+        ["count", "hamilton", path, "--no-such-option"],
+        ["certify", str(irregular)],
+        ["certify", "--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = [outcome(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0]
+    assert first[3][2].startswith("error:")
+    assert [outcome(argv) for argv in reversed(argvs)] == first[::-1]
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    main(["gen", "complete", "--n", "3"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["gen", "complete", "--n", "3"]) == 0
+    assert main(["gen", "cycle", "--n", "4"]) == 0
+    assert built == []
+    # build_parser itself still returns a fresh parser
+    assert build_parser() is not build_parser() and built
+    capsys.readouterr()
