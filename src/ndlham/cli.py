@@ -5,7 +5,9 @@ argparse rejects any other with exit 2.  ``gen`` and ``experiment`` take
 one subcommand per graph family or experiment kind, each with the options
 its function reads.  ``--epsilon`` (the constant of condition 1) is taken
 by ``certify`` alone; ``--format csv`` is offered by ``certify``, ``count``
-and ``report``, the subcommands that build CSV rows.
+and ``report``, the subcommands that build CSV rows.  JSON output writes
+a non-finite float as the string the text and CSV formats print ("inf",
+"-inf" or "nan"), since JSON has no token for it.
 
 ``main`` builds the parser once per process, at its first call rather than
 at import (importing this module builds nothing), and parses every later
@@ -19,6 +21,7 @@ usage errors.
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
@@ -33,12 +36,24 @@ def _load_graph(path):
 
 def _emit(args, payload, csv_rows=None):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False))
     elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
         _print_text(payload)
+
+
+def _finite_json(x):
+    """x with each non-finite float, at any depth of its dicts and lists,
+    as its str: "inf", "-inf" or "nan"."""
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    return x
 
 
 def _print_text(payload, indent=0):

@@ -66,12 +66,15 @@ def check_seed(seed, what):
 
 
 def check_certificate(g, cert, what):
-    """Raise InvalidParameters unless ``cert`` was made for a graph on as
-    many vertices as ``g``, since another graph's d and lambda would
-    silently set the bounds and budgets computed for g, and unless its
-    lambda passes ``check_lambda``."""
+    """Raise InvalidParameters unless ``cert`` was made for a graph with
+    as many vertices as ``g`` and vertex 0's degree as its d, since another
+    graph's d and lambda would silently set the bounds and budgets computed
+    for g, and unless its lambda passes ``check_lambda``.  The degree is
+    one bit count, so the guard stays O(1)."""
     if cert.n != g.n:
         raise InvalidParameters(f"{what}: certificate is for n={cert.n}, graph has n={g.n}")
+    if cert.d != (d := g.rows[0].bit_count()):
+        raise InvalidParameters(f"{what}: certificate is for d={cert.d}, graph has d={d}")
     check_lambda(cert.lam, cert.d, what)
 
 

@@ -5,16 +5,19 @@ edge between large disjoint sets) are checked in the tests.
 The mixing check runs on 0/1 membership blocks: row i of the k x n arrays
 S and T marks the i-th pair's sets, and one kernel computes, per row,
 e(S,T) = rowsum((S @ A) * T), the expectation (d/n)|S||T|, the defect and
-the bound lambda*sqrt(|S||T|).  Every entry of S @ A is |N(v) ∩ S| <= n and
-every e is at most n^2, so each partial sum is an integer at most n^2.  One
-width rule on n, ``_widths``, sets the blocks' dtype: float32 while
-n^2 < 2^24, where float32 holds every such integer exactly, and float64
-(exact below 2^53) from n = 4096 on; either way e is exact whatever order
-BLAS adds in.  e and the set sizes are then taken as float64, and the float
-expressions that follow are evaluated in the same order as the scalar
-formula, so each row gives the bit-identical defect and bound.  The n^2
-singleton pairs and the (S,S) pairs with |S| = 2 skip the product: their e
-is A[i,j] or 2 A[i,j], read from A, and the same float expressions follow.
+the bound lambda*sqrt(|S||T|).  Each block comes with its rows' |S| and
+|T| as its source fixed them (the drawn sizes, n for (V, V), the size of a
+battery), so the kernel never sums a block to count them.  Every entry of
+S @ A is |N(v) ∩ S| <= n and every e is at most n^2, so each partial sum
+is an integer at most n^2.  One width rule on n, ``_widths``, sets the
+blocks' dtype: float32 while n^2 < 2^24, where float32 holds every such
+integer exactly, and float64 (exact below 2^53) from n = 4096 on; either
+way e is exact whatever order BLAS adds in.  e and the set sizes are then
+taken as float64, and the float expressions that follow are evaluated in
+the same order as the scalar formula, so each row gives the bit-identical
+defect and bound.  The n^2 singleton pairs and the (S,S) pairs with
+|S| = 2 skip the product: their e is A[i,j] or 2 A[i,j], read from A, and
+the same float expressions follow.
 
 Blocks hold at most ``_BLOCK`` rows, so one block's arrays stay in cache,
 and each generator fills the same buffers for every block it yields: a
@@ -26,7 +29,8 @@ a word, from n = 4096 on, where 16-bit keys would tie often.  When the
 k-th and (k+1)-th smallest keys tie, which has probability below n 2^-16,
 about n 2^-17 (below n 2^-32 for 32-bit keys), the row's keys are drawn
 again, so every set has exactly its drawn size and, given that size, is
-uniform.
+uniform.  Each block of keys is sorted once; a redraw sorts only the
+redrawn rows.
 """
 
 import math
@@ -52,14 +56,16 @@ def _widths(n):
     return np.uint32, np.float64
 
 
-def _defects(a, cert, s, t, sa=None):
+def _defects(a, cert, s, t, size_s, size_t, sa=None):
     """Per-row float64 (e, |e - (d/n)|S||T||, lambda*sqrt(|S||T|)) of the
     0/1 blocks s and t against the 0/1 adjacency matrix a, float32 or
     float64; e is exact while n^2 < 2^24 in float32 and n^2 < 2^53 in
-    float64 (see the module docstring).  ``sa``, if given, is a buffer of
-    s's shape that receives s @ a."""
+    float64 (see the module docstring).  ``size_s`` and ``size_t`` are the
+    rows' |S| and |T|, per row or one number for every row, as the block's
+    source knows them; the blocks are not summed.  ``sa``, if given, is a
+    buffer of s's shape that receives s @ a."""
     e = np.einsum("ij,ij->i", np.matmul(s, a, out=sa), t).astype(np.float64)
-    return (e, *_judge(cert, e, s.sum(axis=1), t.sum(axis=1)))
+    return (e, *_judge(cert, e, size_s, size_t))
 
 
 def _judge(cert, e, size_s, size_t):
@@ -105,7 +111,7 @@ def _pair_blocks(a, cert, sample_count, seed):
     sa = np.empty((_BLOCK, n), dtype)
     yield (*_judge(cert, a.ravel(), 1.0, 1.0), lambda i: ([i // n], [i % n]))
     full = np.ones((1, n), dtype)
-    yield from _kernel(a, cert, [(full, full)], sa)
+    yield from _kernel(a, cert, [(full, full, n, n)], sa)
     if n > 1:
         two = np.transpose(np.triu_indices(n, 1))
         yield (*_judge(cert, 2.0 * a[two[:, 0], two[:, 1]], 2.0, 2.0),
@@ -116,17 +122,18 @@ def _pair_blocks(a, cert, sample_count, seed):
 
 
 def _kernel(a, cert, blocks, sa):
-    """(defect, bound, pair) of each (S, T) block of ``blocks`` by
-    ``_defects``, with ``sa`` as its s @ a buffer."""
-    for s, t in blocks:
-        _, defect, bound = _defects(a, cert, s, t, sa[: len(s)])
+    """(defect, bound, pair) of each (S, T, |S|, |T|) block of ``blocks``
+    by ``_defects``, with ``sa`` as its s @ a buffer."""
+    for s, t, size_s, size_t in blocks:
+        _, defect, bound = _defects(a, cert, s, t, size_s, size_t, sa[: len(s)])
         yield defect, bound, lambda i, s=s, t=t: (
             np.flatnonzero(s[i]).tolist(), np.flatnonzero(t[i]).tolist())
 
 
 def _same_sets(n, sizes):
-    """(S, S) blocks of every S with |S| in ``sizes``, lexicographic.  The
-    blocks share a buffer: each is valid only until the next is drawn."""
+    """(S, S, |S|, |S|) blocks of every S with |S| in ``sizes``,
+    lexicographic.  The blocks share a buffer: each is valid only until the
+    next is drawn."""
     s = np.empty((_BLOCK, n), _widths(n)[1])
     for size in sizes:
         combos = combinations(range(n), size)
@@ -134,7 +141,7 @@ def _same_sets(n, sizes):
             k = len(chunk)
             s[:k] = 0.0
             s[np.arange(k)[:, None], chunk] = 1.0
-            yield s[:k], s[:k]
+            yield s[:k], s[:k], size, size
 
 
 def _keys(rng, dtype, *shape):
@@ -148,36 +155,41 @@ def _keys(rng, dtype, *shape):
 
 def _subsets(rng, sizes, keys, srt, out):
     """Set row i of the 0/1 block ``out`` to the sizes[i] columns of row i
-    of ``keys`` with the smallest keys: those <= the sizes[i]-th smallest,
-    found in ``srt``, a sorted copy of keys' dtype.  A row whose sizes[i]-th
-    and (sizes[i]+1)-th smallest keys tie would get more columns, so the
-    tied rows' keys are drawn again by ``_keys``, in row order, until no
-    row ties; with n keys a threshold ties with probability below n 2^-16
-    for 16-bit keys and n 2^-32 for 32-bit ones."""
+    of ``keys`` with the smallest keys: those <= the sizes[i]-th smallest.
+    The block is sorted once, into ``srt``, of keys' dtype.  A row whose
+    sizes[i]-th and (sizes[i]+1)-th smallest keys tie would get more
+    columns, so the tied rows' keys are drawn again by ``_keys``, in row
+    order, and only those rows are sorted again and given new thresholds,
+    until no row ties (``srt`` keeps the first sort of a redrawn row); with
+    n keys a threshold ties with probability below n 2^-16 for 16-bit keys
+    and n 2^-32 for 32-bit ones."""
     n = keys.shape[1]
+    np.copyto(srt, keys)
+    srt.sort(axis=1)
     rows = np.arange(len(sizes))
+    thresh = srt[rows, sizes - 1]
     nxt = np.minimum(sizes, n - 1)  # a row with sizes[i] = n cannot tie
-    while True:
-        np.copyto(srt, keys)
-        srt.sort(axis=1)
-        thresh = srt[rows, sizes - 1]
-        tied = (sizes < n) & (srt[rows, nxt] == thresh)
-        if not tied.any():
-            break
-        keys[tied] = _keys(rng, keys.dtype, np.count_nonzero(tied), n)
+    tied = np.flatnonzero((sizes < n) & (srt[rows, nxt] == thresh))
+    while len(tied):
+        keys[tied] = _keys(rng, keys.dtype, len(tied), n)
+        redrawn = np.sort(keys[tied], axis=1)
+        at = np.arange(len(tied))
+        thresh[tied] = redrawn[at, sizes[tied] - 1]
+        tied = tied[redrawn[at, nxt[tied]] == thresh[tied]]
     np.less_equal(keys, thresh[:, None], out=out)
 
 
 def _sample_blocks(n, count, seed):
-    """(S, T) blocks of ``count`` random pairs from
+    """(S, T, |S|, |T|) blocks of ``count`` random pairs from
     ``np.random.default_rng(seed)``, at the key and block dtypes of
     ``_widths(n)``.  Per block of b pairs: the b sizes |S| and then the b
     sizes |T| are drawn uniform on 1..n, then 2b x n keys by ``_keys``, S's
     b rows and then T's, and each set is the columns of its row that are
     <= the row's |S|-th (|T|-th) smallest key, so it is a uniform subset of
-    its size; one ``_subsets`` call sorts all 2b rows and redraws the tied
-    ones, S's before T's.  The blocks share buffers: each is valid only
-    until the next is drawn."""
+    its size; one ``_subsets`` call sorts all 2b rows once and redraws the
+    tied ones, S's before T's.  Since no row ties, the drawn sizes are the
+    sets' sizes, and the block hands them out as its |S| and |T|.  The
+    blocks share buffers: each is valid only until the next is drawn."""
     rng = np.random.default_rng(seed)
     key, block = _widths(n)
     srt = np.empty((2 * _BLOCK, n), key)
@@ -186,7 +198,7 @@ def _sample_blocks(n, count, seed):
         k = min(_BLOCK, count - start)
         sizes = rng.integers(1, n + 1, size=2 * k)
         _subsets(rng, sizes, _keys(rng, key, 2 * k, n), srt[: 2 * k], st[: 2 * k])
-        yield st[:k], st[k : 2 * k]
+        yield st[:k], st[k : 2 * k], sizes[:k], sizes[k:]
 
 
 def verify_mixing(g, cert, sample_count=1000, seed=0):
@@ -212,15 +224,15 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     checked, violations = 0, 0
     worst, worst_pair = 0.0, ([], [])
     a = _unpack(g.rows, g.n).astype(_widths(g.n)[1])
-    for defect, bound, pair in _pair_blocks(a, cert, sample_count, seed):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for defect, bound, pair in _pair_blocks(a, cert, sample_count, seed):
             norm = np.where(bound > 0, defect / bound, np.where(defect <= DEFECT_TOL, 0.0, np.inf))
-        i = int(np.argmax(norm))
-        if norm[i] > worst:
-            worst = float(norm[i])
-            worst_pair = pair(i)
-        violations += int(np.count_nonzero(defect > bound + DEFECT_TOL))
-        checked += len(defect)
+            i = int(np.argmax(norm))
+            if norm[i] > worst:
+                worst = float(norm[i])
+                worst_pair = pair(i)
+            violations += int(np.count_nonzero(defect > bound + DEFECT_TOL))
+            checked += len(defect)
     return MixingReport(
         pairs_checked=checked,
         max_normalized_defect=worst,

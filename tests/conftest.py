@@ -385,6 +385,26 @@ def eager_rotate(rows, path, outside, inside, budget):
     return "failure", path, []
 
 
+def resort_subsets(rng, sizes, keys, srt, out):
+    """``mixing._subsets`` as it was when every round copied and sorted the
+    whole block again: the reference that the one-sort redraw must match,
+    key for key and draw for draw.  Each round sorts all rows, takes every
+    row's threshold and redraws the tied rows' keys by ``mixing._keys``, in
+    row order."""
+    n = keys.shape[1]
+    rows = np.arange(len(sizes))
+    nxt = np.minimum(sizes, n - 1)
+    while True:
+        np.copyto(srt, keys)
+        srt.sort(axis=1)
+        thresh = srt[rows, sizes - 1]
+        tied = (sizes < n) & (srt[rows, nxt] == thresh)
+        if not tied.any():
+            break
+        keys[tied] = nh.mixing._keys(rng, keys.dtype, np.count_nonzero(tied), n)
+    np.less_equal(keys, thresh[:, None], out=out)
+
+
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted
     descending; raises if the off-diagonal Frobenius norm is still >= tol

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -73,6 +74,32 @@ def test_permanent_of_a_zero_regular_graph(tmp_path, capsys):
     assert payload["bregman_upper"]["is_zero"] is True
     assert "vdw_lower" not in payload and "regular_upper" not in payload
     assert run(capsys, ["report", str(path)])[0] == 2
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard tokens Infinity, -Infinity
+    and NaN."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_floats_as_strings(tmp_path, capsys):
+    # a 0-regular graph has lambda = 0, so d/lambda and the condition-1
+    # margin are inf: JSON has no token for it, and the text and CSV
+    # formats print it as inf
+    path = tmp_path / "e4.el"
+    path.write_text("4 0\n")
+    code, out, _ = run(capsys, ["certify", str(path)])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["eigenvalue_ratio"] == payload["cond1_margin"] == "inf"
+    assert payload["lambda"] == 0.0 and payload["eigenvalues"] == [0.0] * 4
+    _, text, _ = run(capsys, ["certify", str(path), "--format", "text"])
+    assert {"eigenvalue_ratio: inf", "cond1_margin: inf"} <= set(text.splitlines())
+    nested = {"a": [-math.inf, math.nan, 1.5], "b": (math.inf, 2)}
+    assert nh.cli._finite_json(nested) == {"a": ["-inf", "nan", 1.5], "b": ["inf", 2]}
 
 
 def test_mixing_exit_codes(tmp_path, capsys):

@@ -9,12 +9,14 @@ import pytest
 
 import ndlham as nh
 from ndlham.errors import InvalidParameters
+from conftest import resort_subsets
 
 
 def _edge_count(g, s, t):
     """e(S,T) as the mixing kernel counts it: each edge with one end in S
     and the other in T, and each edge inside S ∩ T twice, so e(U,U) = 2 e(U)."""
-    e, _, _ = nh.mixing._defects(g.adjacency_matrix(), nh.certify(g), _row(g.n, s), _row(g.n, t))
+    s, t = _row(g.n, s), _row(g.n, t)
+    e, _, _ = nh.mixing._defects(g.adjacency_matrix(), nh.certify(g), s, t, s.sum(axis=1), t.sum(axis=1))
     return int(e[0])
 
 
@@ -57,7 +59,7 @@ def _row(n, members):
 def test_defects_k4():
     k4 = nh.complete(4)
     s, t = _row(4, [0, 1]), _row(4, [2, 3])
-    e, defect, bound = nh.mixing._defects(k4.adjacency_matrix(), nh.certify(k4), s, t)
+    e, defect, bound = nh.mixing._defects(k4.adjacency_matrix(), nh.certify(k4), s, t, s.sum(axis=1), t.sum(axis=1))
     assert e.tolist() == [4]
     assert defect[0] == pytest.approx(1.0)
     assert bound[0] == pytest.approx(2.0)
@@ -67,7 +69,8 @@ def test_defects_full_sets_complete():
     for n in (4, 5, 6):
         g = nh.complete(n)
         full = _row(n, list(range(n)))
-        e, defect, _ = nh.mixing._defects(g.adjacency_matrix(), nh.certify(g), full, full)
+        sizes = full.sum(axis=1)
+        e, defect, _ = nh.mixing._defects(g.adjacency_matrix(), nh.certify(g), full, full, sizes, sizes)
         assert e.tolist() == [n * (n - 1)]
         assert defect[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -89,7 +92,7 @@ def _battery_pairs(n):
 
 def _sampled_pairs(n, count, seed):
     pairs = []
-    for s, t in nh.mixing._sample_blocks(n, count, seed):
+    for s, t, _, _ in nh.mixing._sample_blocks(n, count, seed):
         pairs += [(np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist()) for a, b in zip(s, t)]
     return pairs
 
@@ -140,7 +143,11 @@ def test_verify_mixing_matches_adjacency_recount():
         ]
         assert got == [((s, t), _scalar(adj, cert, s, t)[1:]) for s, t in pairs]
         blocks = chain([(np.ones((1, g.n)),) * 2], nh.mixing._sample_blocks(g.n, samples, seed))
-        kernel = [row for s, t in blocks for row in zip(*nh.mixing._defects(adj, cert, s, t))]
+        kernel = [
+            row
+            for s, t, *_ in blocks
+            for row in zip(*nh.mixing._defects(adj, cert, s, t, s.sum(axis=1), t.sum(axis=1)))
+        ]
         assert kernel == [_scalar(adj, cert, s, t) for s, t in pairs[g.n**2 : g.n**2 + 1] + pairs[-samples:]]
 
 
@@ -178,18 +185,20 @@ def test_sampler_block_sizes(delta):
     # replayed from the same generator: per block the k sizes |S| and the k
     # sizes |T|, then ceil(2kn/4) raw words, whose 16-bit quarters are the
     # keys of S's k rows and then of T's (no row of this seed ties at its
-    # threshold, which the replay checks, so nothing is redrawn)
+    # threshold, which the replay checks, so nothing is redrawn); the sizes
+    # the block hands out are the replayed ones
     n, seed = 12, 4
     block = nh.mixing._BLOCK
     count = block + delta
     rng = np.random.default_rng(seed)
     rows = 0
-    for s, t in nh.mixing._sample_blocks(n, count, seed):
+    for s, t, size_s, size_t in nh.mixing._sample_blocks(n, count, seed):
         k = len(s)
         assert k == min(block, count - rows)
         sizes = rng.integers(1, n + 1, size=(2, k))
         words = rng.bit_generator.random_raw(-(-2 * k * n // 4))
         keys = words.view(np.uint16)[: 2 * k * n].reshape(2, k, n)
+        assert size_s.tolist() == sizes[0].tolist() and size_t.tolist() == sizes[1].tolist()
         for got, want, key in zip((s, t), sizes, keys):
             assert got.dtype == np.float32 and set(np.unique(got)) <= {0.0, 1.0}
             assert got.sum(axis=1).tolist() == want.tolist()
@@ -225,12 +234,44 @@ def test_sampler_threshold_tie_redrawn():
     assert (keys[[0, 3]] != given[[0, 3]]).all(axis=1).all()  # redrawn
 
 
+def test_sampler_redraw_matches_whole_block_resort(monkeypatch):
+    # keys % 5 tie at most thresholds, so rows are redrawn over several
+    # rounds; sorting only the redrawn rows must give the sets, the final
+    # keys and the generator state that sorting the whole block every
+    # round gives
+    keys_of, calls, most = nh.mixing._keys, [], 0
+
+    def low_keys(rng, dtype, *shape):
+        calls.append(shape)
+        return keys_of(rng, dtype, *shape) % 5
+
+    monkeypatch.setattr(nh.mixing, "_keys", low_keys)
+    for case in range(300):
+        meta = np.random.default_rng([7, case])
+        n, k = int(meta.integers(2, 9)), int(meta.integers(1, 40))
+        sizes = meta.integers(1, n + 1, size=k)
+        dtype = (np.uint16, np.uint32)[case % 2]
+        runs = []
+        for subsets in (nh.mixing._subsets, resort_subsets):
+            rng = np.random.default_rng(case)
+            keys = nh.mixing._keys(rng, dtype, k, n)
+            out = np.empty((k, n), np.float32)
+            calls.clear()
+            subsets(rng, sizes, keys, np.empty_like(keys), out)
+            runs.append((out, keys, rng.bit_generator.random_raw(), calls[:]))
+        (out, keys, word, redraws), ref = runs
+        assert (out == ref[0]).all() and (keys == ref[1]).all() and (word, redraws) == ref[2:], case
+        assert out.sum(axis=1).tolist() == sizes.tolist()
+        most = max(most, len(redraws))
+    assert most >= 4  # some block was redrawn over several rounds
+
+
 def test_sampler_width_rule():
     # 16-bit keys and float32 blocks while n^2 < 2^24, 32-bit keys and
     # float64 blocks from n = 4096 on
     for n, key, block in ((4095, np.uint16, np.float32), (4096, np.uint32, np.float64)):
         assert nh.mixing._widths(n) == (key, block)
-        s, t = next(nh.mixing._sample_blocks(n, 1, 0))
+        s, t, _, _ = next(nh.mixing._sample_blocks(n, 1, 0))
         assert s.dtype == t.dtype == block
 
 
@@ -240,7 +281,8 @@ def test_defects_exact_at_float32_limit():
     n = 4095
     full = np.ones((1, n), np.float32)
     cert = dataclasses.replace(nh.certify(nh.complete(4)), n=n, d=n)
-    e, defect, bound = nh.mixing._defects(np.ones((n, n), np.float32), cert, full, full)
+    sizes = full.sum(axis=1)
+    e, defect, bound = nh.mixing._defects(np.ones((n, n), np.float32), cert, full, full, sizes, sizes)
     assert e.dtype == np.float64 and e.tolist() == [n * n]
     assert defect.tolist() == [0.0] and bound.tolist() == [float(n)]
 
@@ -254,6 +296,23 @@ def test_verify_mixing_seeded_report_pinned():
     assert rep.max_normalized_defect == 0.4133522151552783
     assert rep.worst_pair == ([9], [1, 10, 11, 13])
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("seed, defect, worst_pair", [
+    (0, 0.27684095728354213, (
+        [1, 2, 3, 5, 6, 7, 9, 11, 21, 27, 29, 33, 38, 41, 44, 52, 60, 65, 69, 70, 73, 78, 80, 84, 88, 93, 95, 96],
+        [1, 3, 11, 27, 35, 36, 38, 39, 41, 44, 45, 58, 62, 67, 68, 70, 78, 80, 83, 88, 95],
+    )),
+    (1, 0.2521676149895622, ([9, 13, 14, 17, 25, 28, 30, 34, 47, 68, 69, 74, 77, 80, 83, 84, 91, 98], [76])),
+])
+def test_verify_mixing_pinned_at_benchmark_scale(seed, defect, worst_pair):
+    # the benchmark's paley(101) check: both worst pairs come from the
+    # 20000 samples, whose 79 blocks redraw tied rows about two dozen times
+    # a seed at n = 101, so these figures pin the redraw path's draws at
+    # full scale
+    g = nh.paley(101)
+    rep = nh.verify_mixing(g, nh.certify(g), sample_count=20000, seed=seed)
+    assert _fields(rep) == (101 * 101 + 1 + 5050 + 20000, defect, worst_pair, 0)
 
 
 def test_verify_mixing_rejects_bad_seed():
@@ -365,6 +424,14 @@ def test_certificate_of_another_graph_rejected():
     f = nh.enumerate_two_factors(g16)[0]
     with pytest.raises(InvalidParameters, match="certificate is for n=24, graph has n=16"):
         nh.two_factor_to_hamilton(g16, f, cert)
+    # same n, another d: the check ran against d = 6 with 0 violations, and
+    # the conversion with K14's budget
+    with pytest.raises(InvalidParameters, match="verify_mixing: certificate is for d=6, graph has d=4"):
+        nh.verify_mixing(g, nh.certify(nh.random_regular(20, 6, 1)), sample_count=10, seed=0)
+    g14 = nh.random_regular(14, 4, 0)
+    f = nh.enumerate_two_factors(g14)[0]
+    with pytest.raises(InvalidParameters, match="two_factor_to_hamilton: certificate is for d=13, graph has d=4"):
+        nh.two_factor_to_hamilton(g14, f, nh.certify(nh.complete(14)))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 5.0, "x", True])
