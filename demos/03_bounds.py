@@ -1,11 +1,9 @@
-"""Permanent bounds sandwiching the exact count, plus tail diagnostics.
+"""Permanent bounds sandwiching the exact count.
 
 For a d-regular graph the van der Waerden bound gives
 per(A) >= n! (d/n)^n while Bregman's bound gives per(A) <= (d!)^(n/d);
 both are evaluated in the log domain and compared against the exact
-permanent.  The tail report splits the 2-factor histogram at
-s* = 20 n / (log d)^2: at these sizes s* exceeds any achievable
-component count, so the entire weighted mass lives in the head.
+permanent.
 """
 
 import math
@@ -23,8 +21,4 @@ for name, g in [
     print(f"  per(A) = {per}   log per = {math.log(per):.4f}" if per else "  (no exact permanent)")
     for k, v in rep.bounds.items():
         print(f"  {k:>22} = {v:.4f}  (exp: {math.exp(v):.4g})")
-    print(f"  inequalities: {rep.ok}  all_ok={rep.all_ok}")
-
-    diag = nh.tail_diagnostics(g)
-    print(f"  tail: s*={diag.s_star:.2f} head={diag.head_weight} "
-          f"tail_weight={diag.tail_weight} empty={diag.tail_empty}\n")
+    print(f"  inequalities: {rep.ok}  all_ok={rep.all_ok}\n")

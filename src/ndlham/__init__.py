@@ -51,12 +51,10 @@ from .factors import (
 from .hamiltonize import RotationTrace, replay, two_factor_to_hamilton
 from .experiments import (
     BoundsReport,
-    TailDiagnostics,
     bounds_report,
     janson_expectation_gnm,
     janson_expectation_gnp,
     monte_carlo_gnp,
-    tail_diagnostics,
     theorem_trend,
 )
 

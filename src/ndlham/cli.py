@@ -160,12 +160,6 @@ def _cmd_report(args):
     return 0 if rep.all_ok else 1
 
 
-def _cmd_tail(args):
-    diag = experiments.tail_diagnostics(_load_graph(args.input))
-    _emit(args, diag.to_json_dict())
-    return 0
-
-
 def _cmd_experiment(args):
     _emit(args, args.run(args))
     return 0
@@ -249,11 +243,6 @@ def build_parser():
     p.add_argument("input")
     output_format(p, csv=True)
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("tail", help="cycle-count tail diagnostics")
-    p.add_argument("input")
-    output_format(p)
-    p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("experiment", help="random-graph expectation baselines")
     kinds = p.add_subparsers(dest="kind", required=True)

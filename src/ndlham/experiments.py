@@ -1,5 +1,4 @@
-"""Per-graph bound reports, cycle-count tail diagnostics, and random-graph
-expectation baselines."""
+"""Per-graph bound reports and random-graph expectation baselines."""
 
 import math
 import random
@@ -104,58 +103,6 @@ def bounds_report(g):
         )
     return BoundsReport(
         n=n, d=d, lam=cert.lam, exact=exact, bounds=bounds, normalized=normalized, ok=ok
-    )
-
-
-@dataclass(frozen=True)
-class TailDiagnostics:
-    s_star: float
-    s1_of_s_star: float
-    head_weight: int  # number of 2-factors with s <= s*
-    tail_weight: int  # 2^c(F)-weighted mass of 2-factors with s > s*
-    head_weighted: int
-    tail_empty: bool
-    tail_over_de_power: float
-
-    def to_json_dict(self):
-        return {
-            "s_star": self.s_star,
-            "s1_of_s_star": self.s1_of_s_star,
-            "head_weight": str(self.head_weight),
-            "tail_weight": str(self.tail_weight),
-            "head_weighted": str(self.head_weighted),
-            "tail_empty": self.tail_empty,
-            "tail_over_de_power": self.tail_over_de_power,
-        }
-
-
-def tail_diagnostics(g):
-    """Split the 2-factor histogram at s* = 20 n / (log d)^2.
-
-    At desk scale s* usually exceeds n/2, so the tail is empty; the report
-    says so honestly instead of fabricating an asymptotic check.
-    """
-    if not g.is_regular():
-        raise NotRegular("tail_diagnostics: graph is not regular")
-    n = g.n
-    d = g.degree(0) if n else 0
-    if d < 2:
-        raise InvalidParameters("tail_diagnostics: d >= 2 required")
-    logd = math.log(d)
-    s_star = 20.0 * n / (logd * logd) if logd > 0 else math.inf
-    hist = factors.factor_histogram(g)
-    head = sum(c for s, c in hist.counts.items() if s <= s_star)
-    head_w = sum(w for s, w in hist.weighted_by_s.items() if s <= s_star)
-    tail_w = sum(w for s, w in hist.weighted_by_s.items() if s > s_star)
-    de_power = math.exp(n * (logd - 1.0))
-    return TailDiagnostics(
-        s_star=s_star,
-        s1_of_s_star=4.0 * s_star / logd if logd > 0 else math.inf,
-        head_weight=head,
-        tail_weight=tail_w,
-        head_weighted=head_w,
-        tail_empty=tail_w == 0,
-        tail_over_de_power=tail_w / de_power,
     )
 
 

@@ -39,7 +39,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InvalidParameters, check_certificate, check_seed, is_int
+from .errors import InvalidParameters, NotRegular, check_certificate, check_seed, is_int
 from .graph import _unpack
 
 DEFECT_TOL = 1e-9
@@ -215,8 +215,11 @@ def verify_mixing(g, cert, sample_count=1000, seed=0):
     defect/bound, or, where the bound is 0, 0.0 for a defect within
     DEFECT_TOL and inf otherwise.  ``worst_pair`` is the first pair, in
     battery-then-sample order, whose normalised defect is the largest
-    positive one.
+    positive one.  ``g`` must be regular, as for ``certify``: vertex 0's
+    degree alone would let an irregular graph pass the certificate check.
     """
+    if not g.is_regular():
+        raise NotRegular("verify_mixing: graph is not regular")
     check_certificate(g, cert, "verify_mixing")
     if not is_int(sample_count) or sample_count < 1:
         raise InvalidParameters(f"verify_mixing: sample_count must be an integer >= 1, got {sample_count!r}")

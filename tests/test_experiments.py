@@ -69,30 +69,6 @@ def test_bounds_report_corpus(corpus):
         assert nh.bounds_report(g).all_ok, name
 
 
-def test_tail_diagnostics_k4():
-    diag = nh.tail_diagnostics(nh.complete(4))
-    assert diag.s_star == pytest.approx(80 / math.log(3) ** 2, rel=1e-12)
-    assert diag.s_star > 2
-    assert diag.tail_empty
-    assert diag.head_weight == 6
-
-
-def test_tail_diagnostics_c6():
-    diag = nh.tail_diagnostics(nh.cycle(6))
-    assert diag.head_weight == 3
-    assert diag.tail_weight == 0
-
-
-def test_tail_partition_identity(corpus):
-    for name, g in corpus:
-        if g.n > 14:
-            continue
-        diag = nh.tail_diagnostics(g)
-        per = nh.permanent_exact(nh.adjacency_matrix_of(g))
-        assert diag.head_weighted + diag.tail_weight == per, name
-        assert diag.tail_weight >= 0, name
-
-
 def removed_set_chain(g, t):
     """The induced-permanent chain for a worst removed set U of t vertices:
     V0 = V \\ U is the first (n - t)-subset with the most 2-factors.  The
@@ -269,8 +245,15 @@ def test_number_argument_of_wrong_type_refused(name):
         call()
 
 
+def _mixing_on_rr20_4_without_edge_1_2():
+    # vertex 0 keeps degree 4, so the certificate of rr(20,4,0) passes its
+    # n and d check
+    g = nh.random_regular(20, 4, 0)
+    h = nh.from_edges(20, [e for e in g.edges() if e != (1, 2)])
+    return nh.verify_mixing(h, nh.certify(g), 2000, 0)
+
+
 # a raise that no other test reaches: each call, its exception type and message
-_IRREGULAR = nh.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
 GUARDS = {
     "certify n": (lambda: nh.certify(nh.from_edges(2, [(0, 1)])),
                   InvalidParameters, "certify: n >= 3 required"),
@@ -283,8 +266,8 @@ GUARDS = {
                       InvalidParameters, "regular_upper: d >= 1 required"),
     "alon_friedland_upper": (lambda: nh.alon_friedland_upper(4, 0),
                              InvalidParameters, "alon_friedland_upper: d >= 1 required"),
-    "tail_diagnostics": (lambda: nh.tail_diagnostics(_IRREGULAR),
-                         NotRegular, "tail_diagnostics: graph is not regular"),
+    "verify_mixing": (_mixing_on_rr20_4_without_edge_1_2,
+                      NotRegular, "verify_mixing: graph is not regular"),
 }
 
 
